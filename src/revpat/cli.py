@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.add_argument("--alphabet", type=int, required=True, metavar="K")
     p.add_argument("--target-length", type=int, required=True, metavar="N")
-    p.add_argument("--depth-limit", type=int, default=None, metavar="D")
 
     p = sub.add_parser("verify", parents=[common], help="run the verification suite")
     p.add_argument("--only", default=None, metavar="ID",
@@ -172,15 +171,15 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
             raise ValueError("search needs a non-empty pattern")
         if args.target_length < 1:
             raise ValueError("--target-length must be positive")
-        depth = args.depth_limit if args.depth_limit is not None else args.target_length
-        report = engine.prove_k_unavoidable(p, args.alphabet, depth)
+        report = engine.prove_k_unavoidable(p, args.alphabet, args.target_length)
         payload = report.as_dict()
         if report.terminated:
             payload["outcome"] = "exhausted"
             human = (f"exhausted at depth {report.longest_word_length}: longest word over "
                      f"{args.alphabet} letters avoiding {p} is {report.longest_word or '(empty)'}")
         else:
-            assert matcher.avoids(report.longest_word, p)
+            if not matcher.avoids(report.longest_word, p):
+                raise RuntimeError(f"search returned {report.longest_word}, which contains {p}")
             payload["outcome"] = "witness"
             human = f"found avoiding word of length {report.longest_word_length}: {report.longest_word}"
         _emit(payload, as_json, human)

@@ -8,7 +8,9 @@ TWO_AVOIDABLE_SEEDS.  The search machinery in this module exists to
 cross-validate that procedure, not to implement it: ``prove_k_unavoidable``
 exhausts the tree of avoiding words over a k-letter alphabet, and
 ``seed_free_patterns`` rebuilds the finite table of canonical patterns with
-no 2-avoidable factor.
+no 2-avoidable factor.  The prover keeps each node word reversed and asks
+the matcher's slot kernel for an instance of the reversed pattern at its
+start, which is an instance of the pattern ending at the node's last letter.
 
 The pattern graph (an edge {reversed-mark(a), b} for every length-2 factor
 ab) decides whether the alternating word 0101... contains an instance: it
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .matcher import _slots
+from .matcher import _match_at, _plan, apply_morphism
 from .patterns import (
     PATTERN_ALPHABET,
     canonical,
@@ -33,7 +35,6 @@ from .patterns import (
     variable_counts,
 )
 from .sequences import alternating_prefix
-from .matcher import apply_morphism
 
 
 class Avoidability(Enum):
@@ -129,195 +130,69 @@ class BacktrackReport:
 _DEFAULT_DEPTH = {2: 400, 3: 60}
 
 
-def _suffix_repeats(data: bytes, n: int, lx: int, two_sided: bool) -> bool:
-    """Does the length-lx suffix (or, two-sided, its reversal) occur inside
-    the first n-1 letters?  False rules out instances for this and every
-    larger lx: any instance places another slot with those raw bytes fully
-    before the last letter, and a longer suffix contains the shorter one.
-    """
-    sfx = data[n - lx:n]
-    if data.find(sfx, 0, n - 1) != -1:
-        return True
-    return two_sided and data.find(sfx[::-1], 0, n - 1) != -1
+# Each factory names one shape of end check (the perfbench harness reads the
+# shape back from a checker's __qualname__); all five run the same kernel.
+
+def _pure_end_check(plan: tuple):
+    """The pattern uses only x and X slots."""
+    return lambda rword: _match_at(plan, rword, 0) is not None
 
 
-def _pure_end_check(flags: tuple[bool, ...], a: int):
-    """End-anchored check for a pattern using only x and X slots."""
-    two_sided = 0 < sum(flags) < len(flags)
-    repeated = len(flags) >= 2
-
-    def check(data: bytes, rdata: bytes | None, n: int) -> bool:
-        mv = memoryview(data)
-        rmv = memoryview(rdata) if rdata is not None else None
-        for lx in range(1, n // a + 1):
-            if repeated and not _suffix_repeats(data, n, lx, two_sided):
-                return False
-            pos = n - a * lx
-            first = None
-            for fwd in flags:
-                seg = mv[pos:pos + lx] if fwd else rmv[n - pos - lx:n - pos]
-                if first is None:
-                    first = seg
-                elif first != seg:
-                    break
-                pos += lx
-            else:
-                return True
-        return False
-
-    return check
+def _gap_then_block_check(plan: tuple):
+    """A single y slot followed by an x-only block."""
+    return lambda rword: _match_at(plan, rword, 0) is not None
 
 
-def _gap_then_block_check(flags: tuple[bool, ...], a: int):
-    """End-anchored check for y followed by an x-only block: the block must
-    occupy a suffix while leaving at least one letter for the gap."""
-
-    two_sided = 0 < sum(flags) < len(flags)
-    repeated = len(flags) >= 2
-
-    def check(data: bytes, rdata: bytes | None, n: int) -> bool:
-        mv = memoryview(data)
-        rmv = memoryview(rdata) if rdata is not None else None
-        for lx in range(1, (n - 1) // a + 1):
-            if repeated and not _suffix_repeats(data, n, lx, two_sided):
-                return False
-            pos = n - a * lx
-            first = None
-            for fwd in flags:
-                seg = mv[pos:pos + lx] if fwd else rmv[n - pos - lx:n - pos]
-                if first is None:
-                    first = seg
-                elif first != seg:
-                    break
-                pos += lx
-            else:
-                return True
-        return False
-
-    return check
+def _block_gap_block_check(plan: tuple):
+    """An x-only block, a single y slot, another x-only block."""
+    return lambda rword: _match_at(plan, rword, 0) is not None
 
 
-def _block_gap_block_check(pre: tuple[bool, ...], post: tuple[bool, ...], a: int):
-    """End-anchored check for <x-block> y <x-block> shaped patterns.
-
-    For each |X| the trailing block pins X, the leading block then is a
-    concrete string, and the flexible y gap turns its placement into a single
-    substring search.
-    """
-    k1, k2 = len(pre), len(post)
-    two_sided = 0 < sum(pre) + sum(post) < a
-
-    def check(data: bytes, rdata: bytes | None, n: int) -> bool:
-        mv = memoryview(data)
-        rmv = memoryview(rdata) if rdata is not None else None
-        for lx in range(1, (n - 1) // a + 1):
-            if not _suffix_repeats(data, n, lx, two_sided):
-                return False
-            pos = n - k2 * lx
-            first = None
-            ok = True
-            for fwd in post:
-                seg = mv[pos:pos + lx] if fwd else rmv[n - pos - lx:n - pos]
-                if first is None:
-                    first = seg
-                elif first != seg:
-                    ok = False
-                    break
-                pos += lx
-            if not ok:
-                continue
-            x_fwd = bytes(first)
-            x_rev = x_fwd[::-1]
-            leading = b"".join(x_fwd if fwd else x_rev for fwd in pre)
-            if data.find(leading, 0, n - k2 * lx - 1) != -1:
-                return True
-        return False
-
-    return check
-
-
-def _general_end_check(slots, a: int, b: int):
-    # the suffix-repeat cutoff applies only when the final slot is an x slot
-    # of a variable used at least twice
-    last_is_x = slots[-1][0]
-    x_flags = [fwd for is_x, fwd in slots if is_x]
-    use_cutoff = last_is_x and a >= 2
-    two_sided = 0 < sum(x_flags) < len(x_flags)
-
-    def check(data: bytes, rdata: bytes | None, n: int) -> bool:
-        mv = memoryview(data)
-        rmv = memoryview(rdata) if rdata is not None else None
-        for lx in range(1, (n - b) // a + 1):
-            if use_cutoff and not _suffix_repeats(data, n, lx, two_sided):
-                return False
-            rest = n - a * lx
-            for ly in range(1, rest // b + 1):
-                pos = n - a * lx - b * ly
-                vx = vy = None
-                ok = True
-                for is_x, fwd in slots:
-                    length = lx if is_x else ly
-                    seg = mv[pos:pos + length] if fwd else rmv[n - pos - length:n - pos]
-                    if is_x:
-                        if vx is None:
-                            vx = seg
-                        elif vx != seg:
-                            ok = False
-                            break
-                    else:
-                        if vy is None:
-                            vy = seg
-                        elif vy != seg:
-                            ok = False
-                            break
-                    pos += length
-                if ok:
-                    return True
-        return False
-
-    return check
+def _general_end_check(plan: tuple):
+    """Each variable occurs at least twice."""
+    return lambda rword: _match_at(plan, rword, 0) is not None
 
 
 def _compile_end_checker(p: str):
-    """Build the incremental does-an-instance-end-here predicate for p.
+    """Build the does-an-instance-end-here predicate for p.
 
-    Returns (per_node, check, needs_reversed).  A per-node predicate runs on
-    a word and decides the fate of all its children at once (possible when
-    the pattern ends with its single y slot: the gap absorbs any final
-    letter); otherwise the predicate runs on each candidate child.
+    Returns (per_node, check, anchored).  ``check`` takes a word reversed
+    and runs the slot kernel at its start on ``anchored``: p ends at n in w
+    exactly when p reversed starts at 0 in w reversed.  ``anchored`` is p
+    reversed, its variables and reversal marks renamed so that it starts
+    with x (renaming keeps whether an instance exists).
+    A per-node predicate runs on a word and decides the fate of all its
+    children at once (possible when the pattern ends with its single y slot:
+    the gap absorbs any final letter, so only the x-block before it is
+    checked); otherwise the predicate runs on each candidate child.
     """
-    pat = p
-    a, b = variable_counts(pat)
+    a, b = variable_counts(p)
     if b > a:
-        pat = iota(2, pat)
-        a, b = b, a
-    slots = _slots(pat)
-    needs_reversed = any(sym in "XY" for sym in pat)
+        p, b = iota(2, p), a
+    y_at = next((i for i, sym in enumerate(p) if sym in "yY"), None)
+    per_node = b == 1 and y_at == len(p) - 1
+    anchored = (p[:-1] if per_node else p)[::-1].swapcase()
+    if anchored[0] in "yY":
+        anchored = iota(2, anchored)
+    if anchored[0] == "X":
+        anchored = iota(1, anchored)
+    if b == 0 or per_node:
+        factory = _pure_end_check
+    elif b >= 2:
+        factory = _general_end_check
+    elif y_at == 0:
+        factory = _gap_then_block_check
+    else:
+        factory = _block_gap_block_check
+    return per_node, factory(_plan(anchored)), anchored
 
-    if b == 0:
-        return False, _pure_end_check(tuple(f for _, f in slots), a), needs_reversed
-    if b == 1:
-        y_at = next(i for i, (is_x, _) in enumerate(slots) if not is_x)
-        pre = tuple(f for _, f in slots[:y_at])
-        post = tuple(f for _, f in slots[y_at + 1:])
-        if not post:
-            # children die exactly when the x-block ends at the node's last letter
-            return True, _pure_end_check(pre, a), needs_reversed
-        if not pre:
-            return False, _gap_then_block_check(post, a), needs_reversed
-        return False, _block_gap_block_check(pre, post, a), needs_reversed
-    return False, _general_end_check(slots, a, b), needs_reversed
 
-
-def prove_k_unavoidable(p: str, k: int, depth_limit: int | None = None,
-                        symmetry_reduction: bool = True,
-                        letter_order: tuple[int, ...] | None = None) -> BacktrackReport:
+def prove_k_unavoidable(p: str, k: int, depth_limit: int | None = None) -> BacktrackReport:
     """Exhaust the tree of words over a k-letter alphabet avoiding p.
 
-    Children are tried in letter order; the first letter is fixed to 0 unless
-    ``symmetry_reduction`` is off (avoidance is invariant under alphabet
-    permutations, so the verdict is the same either way).  ``letter_order``
-    exists to validate that child ordering does not affect the verdict.
+    Children are tried in letter order, and the first letter is fixed to 0:
+    avoidance is invariant under alphabet permutations.  Node words are kept
+    reversed, so that every end check runs the slot kernel at their start.
     """
     if not p:
         raise ValueError("the empty pattern has no instances; classify it directly")
@@ -327,55 +202,40 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int | None = None,
         depth_limit = _DEFAULT_DEPTH.get(k, 60)
     if depth_limit < 1:
         raise ValueError("depth limit must be at least 1")
-    if letter_order is None:
-        letter_order = tuple(range(k))
-    elif sorted(letter_order) != list(range(k)):
-        raise ValueError(f"letter order must be a permutation of 0..{k - 1}")
 
-    per_node, check, needs_reversed = _compile_end_checker(p)
-    digits = [ord(str(c)) for c in range(k)]
+    per_node, check, _ = _compile_end_checker(p)
+    letters = [str(c).encode() for c in range(k)]
 
-    word = bytearray()
     longest = ""
     nodes = 0
     stack = [0]
     blocked = [False]  # per-node verdict for per_node checkers
+    rwords = [b""]  # the path's node words, each reversed
 
     while stack:
         idx = stack[-1]
         if blocked[-1]:
             width = 0
         else:
-            width = 1 if (symmetry_reduction and len(stack) == 1) else k
+            width = 1 if len(stack) == 1 else k
         if idx >= width:
             stack.pop()
             blocked.pop()
-            if word:
-                word.pop()
+            rwords.pop()
             continue
         stack[-1] += 1
-        c = letter_order[idx]
         nodes += 1
-        word.append(digits[c])
-        data = bytes(word)
-        if per_node:
-            hit = False  # fate was decided by the parent's blocked flag
-        else:
-            rdata = data[::-1] if needs_reversed else None
-            hit = check(data, rdata, len(word))
-        if hit:
-            word.pop()
+        rword = letters[idx] + rwords[-1]
+        # per-node checkers decided this child's fate through the parent's flag
+        if not per_node and check(rword):
             continue
-        n = len(word)
+        n = len(rword)
         if n > len(longest):
-            longest = data.decode()
+            longest = rword[::-1].decode()
         if n >= depth_limit:
             return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest)
-        if per_node:
-            rdata = data[::-1] if needs_reversed else None
-            blocked.append(check(data, rdata, n))
-        else:
-            blocked.append(False)
+        blocked.append(per_node and check(rword))
+        rwords.append(rword)
         stack.append(0)
 
     return BacktrackReport(p, k, depth_limit, True, nodes, len(longest), longest)

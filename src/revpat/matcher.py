@@ -7,8 +7,11 @@ search enumerates (start, |X|, |Y|) triples in ascending order, so returned
 witnesses are deterministic: smallest start, then smallest |X|, then
 smallest |Y|.
 
-Only-y patterns are matched through their x-renamed form; the witness then
-carries a y assignment and no x assignment.
+One slot kernel, ``_match_at``, finds the least instance that starts at a
+given position; the search runs it at each start in turn, and the prover in
+``engine`` runs it at the start of each reversed node word.  Only-y
+patterns are matched through their x-renamed form; the witness then carries
+a y assignment and no x assignment.
 """
 
 from __future__ import annotations
@@ -66,65 +69,128 @@ def apply_morphism(p: str, x: str | None = None, y: str | None = None) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _slots(p: str) -> tuple[tuple[bool, bool], ...]:
-    """Per symbol: (is_x_variable, is_forward_slot)."""
-    return tuple((sym in "xX", sym in "xy") for sym in p)
+def _plan(p: str) -> tuple:
+    """Compile p, which starts with x or with a y slot, for ``_match_at``.
+
+    ``lead`` counts the x slots before the first y slot and ``lead_rest``
+    encodes all of them but the first; ``tail`` holds the (is_x, is_forward)
+    slots from the first y slot on.  ``cut`` is set when p starts with x and
+    x recurs, ``two_sided`` when both x and X occur, and ``pin`` is (length
+    of the first y-run, the x-run after it) when p starts with x and such an
+    x-run exists.
+    """
+    a, b = variable_counts(p)
+    body = p.lstrip("xX")
+    after_y = body.lstrip("yY")
+    run_x = after_y[:len(after_y) - len(after_y.lstrip("xX"))]
+    lead = len(p) - len(body)
+    tail = tuple((sym in "xX", sym in "xy") for sym in body)
+    pin = (len(body) - len(after_y), _run(run_x)) if lead and run_x else None
+    return (a, b, lead, _run(p[1:lead]), tail, lead > 0 and a >= 2, "x" in p and "X" in p,
+            pin)
+
+
+def _run(syms: str):
+    """A run of x slots: its length when every slot is forward, else the
+    slots' orientation flags."""
+    return len(syms) if "X" not in syms else tuple(sym == "x" for sym in syms)
+
+
+def _image(run, fwd: bytes, rev: bytes | None) -> bytes:
+    """The bytes a run of x slots holds when X = fwd (rev is its reversal)."""
+    if run.__class__ is int:
+        return fwd * run
+    return b"".join([fwd if f else rev for f in run])
+
+
+def _pinned(w: bytes, t: bytes, base: int, run_y: int, end: int):
+    """|Y| values placing the fixed x-run t right after run_y y slots that
+    begin at base, in ascending order."""
+    q = w.find(t, base + run_y, end)
+    while q >= 0:
+        if (q - base) % run_y == 0:
+            yield (q - base) // run_y
+        q = w.find(t, q + 1, end)
+
+
+def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
+              max_y: int | None = None) -> tuple[bytes, bytes | None] | None:
+    """Least (|X|, |Y|) instance of a planned pattern starting at ``start``.
+
+    Returns the (x, y) values of that instance, y None for x-only patterns,
+    or None when no instance within the bounds starts there.  Two prunings
+    apply when the pattern starts with x.  If x recurs and the length-lx
+    head (or, two-sided, its reversal) occurs nowhere after it, no instance
+    has this or any larger |X|.  Once X is known, the x-run after the first
+    y-run is a fixed string, and each place it occurs fixes |Y|.
+    """
+    a, b, lead, lead_rest, tail, cut, two_sided, pin = plan
+    room = len(w) - start
+    lim_x = (room - b) // a
+    if max_x is not None and max_x < lim_x:
+        lim_x = max_x
+    for lx in range(1, lim_x + 1):
+        xf = xr = None
+        base = start
+        if lead:
+            xf = w[start:start + lx]
+            if two_sided:
+                xr = xf[::-1]
+            if cut and w.find(xf, start + lx) < 0 and (
+                    xr is None or w.find(xr, start + lx) < 0):
+                return None
+            base = start + lead * lx
+            if lead_rest and w[start + lx:base] != _image(lead_rest, xf, xr):
+                continue
+            if not b:
+                return xf, None
+        lim_y = (room - a * lx) // b
+        if max_y is not None and max_y < lim_y:
+            lim_y = max_y
+        if pin:
+            run_y, run_x = pin
+            t = _image(run_x, xf, xr)
+            lys = _pinned(w, t, base, run_y, base + run_y * lim_y + len(t))
+        else:
+            lys = range(1, lim_y + 1)
+        for ly in lys:
+            x0, x1, y0, y1 = xf, xr, None, None
+            pos = base
+            for is_x, fwd in tail:
+                length = lx if is_x else ly
+                seg = w[pos:pos + length]
+                pos += length
+                if is_x:
+                    if x0 is None:
+                        x0, x1 = (seg, seg[::-1]) if fwd else (seg[::-1], seg)
+                    elif seg != (x0 if fwd else x1):
+                        break
+                elif y0 is None:
+                    y0, y1 = (seg, seg[::-1]) if fwd else (seg[::-1], seg)
+                elif seg != (y0 if fwd else y1):
+                    break
+            else:
+                return x0, y0
+    return None
 
 
 def _search(w: str, p: str, max_x: int | None, max_y: int | None) -> InstanceWitness | None:
     if not p:
         raise ValueError("the empty pattern has no instances; classify it directly")
-    a, b = variable_counts(p)
-    if a == 0:
+    if not variable_counts(p)[0]:
         inner = _search(w, iota(2, p), max_y, max_x)
-        if inner is None:
-            return None
-        return InstanceWitness(inner.start, None, inner.x)
+        return inner and InstanceWitness(inner.start, None, inner.x)
+    if p[0] == "X":
+        inner = _search(w, iota(1, p), max_x, max_y)
+        return inner and InstanceWitness(inner.start, inner.x[::-1], inner.y)
 
-    n = len(w)
-    data = w.encode()
-    mv = memoryview(data)
-    rmv = memoryview(data[::-1])
-    slots = _slots(p)
-    big = n + 1
-
-    for start in range(n):
-        room = n - start
-        lim_x = (room - b) // a
-        if max_x is not None:
-            lim_x = min(lim_x, max_x)
-        for lx in range(1, lim_x + 1):
-            if b:
-                lim_y = (room - a * lx) // b
-                if max_y is not None:
-                    lim_y = min(lim_y, max_y)
-                ly_range = range(1, lim_y + 1)
-            else:
-                ly_range = range(1)
-            for ly in ly_range:
-                vx = vy = None
-                pos = start
-                ok = True
-                for is_x, fwd in slots:
-                    length = lx if is_x else ly
-                    seg = mv[pos:pos + length] if fwd else rmv[n - pos - length:n - pos]
-                    if is_x:
-                        if vx is None:
-                            vx = seg
-                        elif vx != seg:
-                            ok = False
-                            break
-                    else:
-                        if vy is None:
-                            vy = seg
-                        elif vy != seg:
-                            ok = False
-                            break
-                    pos += length
-                if ok:
-                    x_val = bytes(vx).decode()
-                    y_val = bytes(vy).decode() if vy is not None else None
-                    return InstanceWitness(start, x_val, y_val)
+    plan = _plan(p)
+    data = w.encode("ascii")  # offsets into data are offsets into w
+    for start in range(len(data)):
+        found = _match_at(plan, data, start, max_x, max_y)
+        if found is not None:
+            x, y = found
+            return InstanceWitness(start, x.decode(), y.decode() if y is not None else None)
     return None
 
 

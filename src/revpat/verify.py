@@ -30,6 +30,7 @@ from .engine import (
 from .matcher import avoids, find_instance, find_instance_bounded
 from .patterns import canonical
 from .sequences import (
+    ALLOWED_SQUARES,
     F1,
     F2,
     F3,
@@ -49,8 +50,6 @@ from .sequences import (
     square_limited_prefix,
     thue_morse_prefix,
 )
-
-ALLOWED_SQUARES = frozenset({"00", "11", "0101"})
 
 # Binary words z of length 1..6 that may occur in w3 together with their
 # reversals; anything longer never does.

@@ -1,6 +1,8 @@
 import json
 
+from revpat import engine
 from revpat.cli import run
+from revpat.engine import BacktrackReport
 
 
 def _out(capsys):
@@ -93,3 +95,15 @@ def test_malformed_pattern_is_a_usage_error(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert run(["generate", "thue-morse"]) == 2  # missing --length
+
+
+def test_search_has_one_depth_flag(capsys):
+    assert run(["search", "xX", "--alphabet", "2", "--target-length", "8",
+                "--depth-limit", "4"]) == 2
+
+
+def test_search_rejects_a_witness_the_matcher_refutes(capsys, monkeypatch):
+    bad = BacktrackReport("xx", 2, 4, False, 4, 4, "0011")
+    monkeypatch.setattr(engine, "prove_k_unavoidable", lambda *args: bad)
+    assert run(["--json", "search", "xx", "--alphabet", "2", "--target-length", "4"]) == 2
+    assert "0011" in json.loads(_out(capsys))["error"]

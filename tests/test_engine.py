@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
@@ -125,8 +125,6 @@ def test_prove_argument_validation():
         prove_k_unavoidable("xx", 0, 10)
     with pytest.raises(ValueError):
         prove_k_unavoidable("xx", 2, 0)
-    with pytest.raises(ValueError):
-        prove_k_unavoidable("xx", 2, 10, letter_order=(1, 1))
 
 
 def test_prove_default_depths():
@@ -134,18 +132,50 @@ def test_prove_default_depths():
     assert prove_k_unavoidable("xyx", 3).depth_limit == 60
 
 
-def test_verdicts_independent_of_reduction_and_order():
+def _brute_force_prove(p, k, depth):
+    """(terminated, longest_word_length, longest_word) from level-by-level
+    enumeration of the 0-led avoiders, with ``avoids`` as the only test."""
+    level = ["0"] if avoids("0", p) else []
+    deepest = [""]
+    while level:
+        deepest = level
+        if len(level[0]) == depth:
+            break
+        level = [u + c for u in level for c in "0123"[:k] if avoids(u + c, p)]
+    word = min(deepest)
+    return len(word) < depth, len(word), word
+
+
+def test_prover_matches_brute_force_enumeration():
     for n in range(1, 4):
         for tup in product(PATTERN_ALPHABET, repeat=n):
             p = "".join(tup)
-            base = prove_k_unavoidable(p, 2, 30)
-            plain = prove_k_unavoidable(p, 2, 30, symmetry_reduction=False)
-            assert base.terminated == plain.terminated, p
-            if base.terminated:
-                assert base.longest_word_length == plain.longest_word_length, p
-    for order in permutations(range(2)):
-        r = prove_k_unavoidable("xyxY", 2, 30, letter_order=order)
-        assert r.terminated and r.longest_word_length == 13
+            for k, depth in ((2, 12), (3, 6)):
+                r = prove_k_unavoidable(p, k, depth)
+                got = (r.terminated, r.longest_word_length, r.longest_word)
+                assert got == _brute_force_prove(p, k, depth), (p, k)
+
+
+# (pattern, k, depth) -> (terminated, nodes_visited), one or two patterns for
+# each end-checker shape; node counts are the prover's machine-independent cost
+PINNED_NODE_COUNTS = {
+    ("xxx", 2, 100): (False, 150),
+    ("xx", 3, 100): (False, 227),
+    ("xxy", 2, 30): (True, 7),
+    ("xXy", 3, 40): (False, 59),
+    ("yxx", 2, 30): (True, 15),
+    ("xxyx", 3, 40): (False, 54998),
+    ("xyxx", 2, 100): (True, 91),
+    ("xyxyx", 2, 200): (False, 284),
+    ("xyxY", 2, 30): (True, 227),
+    ("xyXYx", 2, 200): (False, 295),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_NODE_COUNTS), ids="{0[0]}-{0[1]}-{0[2]}".format)
+def test_prove_node_counts_are_pinned(case):
+    r = prove_k_unavoidable(*case)
+    assert (r.terminated, r.nodes_visited) == PINNED_NODE_COUNTS[case]
 
 
 def test_pattern_graph_worked_example():

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revpat.engine import TWO_AVOIDABLE_SEEDS
 from revpat.matcher import (
     InstanceWitness,
     apply_morphism,
@@ -74,6 +75,14 @@ def test_empty_pattern_is_rejected():
         avoids("01", "")
 
 
+def test_non_ascii_words_are_rejected():
+    # "\u0663" is ARABIC-INDIC DIGIT THREE: a digit for str.isdigit, two bytes in UTF-8
+    with pytest.raises(ValueError):
+        find_instance("\u066300", "xx")
+    with pytest.raises(ValueError):
+        avoids("\u0663\u0664\u0663", "xyx")
+
+
 def test_y_only_patterns_report_y_assignments():
     w = find_instance("00", "yy")
     assert w == InstanceWitness(0, None, "0")
@@ -108,10 +117,15 @@ def _oracle_find(w, p):
 
 
 def test_matcher_agrees_with_oracle_on_all_short_patterns():
+    # the 30-40 letter words and the length-5 seeds reach the kernel's
+    # repeat cutoff and its |Y| pinning at many lengths
     rng = random.Random(20260810)
     words = [""] + ["".join(rng.choice("012"[:k]) for _ in range(rng.randint(1, 12)))
                     for k in (2, 2, 2, 3, 3) for _ in range(5)]
-    for p in ALL_PATTERNS_TO_4:
+    words += ["".join(rng.choice("012"[:k]) for _ in range(rng.randint(30, 40)))
+              for k in (2, 2, 3, 3)]
+    seeds = sorted(s for s in TWO_AVOIDABLE_SEEDS if len(s) == 5)
+    for p in ALL_PATTERNS_TO_4 + seeds:
         for w in words:
             got = find_instance(w, p) if w else None
             want = _oracle_find(w, p) if w else None
