@@ -60,7 +60,6 @@ from .sequences import (
     covering_prefix_length,
     factor_set,
     g_from,
-    left_completion,
     left_completions,
     reversible_factors,
     sequence_prefix,

@@ -15,12 +15,6 @@ import sys
 
 from . import engine, matcher, patterns, sequences, verify
 
-_INDEX_TEXT = {
-    engine.Avoidability.TWO: "2",
-    engine.Avoidability.THREE: "3",
-    engine.Avoidability.UNAVOIDABLE: "infinity",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -120,7 +114,7 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
         p = patterns.parse_pattern(args.pattern)
         index = engine.classify(p)
         _emit({"pattern": p, "avoidability_index": index.value}, as_json,
-              _INDEX_TEXT[index])
+              str(index.value))
         return 0
 
     if args.command == "canon":

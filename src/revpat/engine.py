@@ -19,7 +19,7 @@ does exactly when the graph is 2-colorable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -116,18 +116,7 @@ class BacktrackReport:
     longest_word: str
 
     def as_dict(self) -> dict:
-        return {
-            "pattern": self.pattern,
-            "alphabet_size": self.alphabet_size,
-            "depth_limit": self.depth_limit,
-            "terminated": self.terminated,
-            "nodes_visited": self.nodes_visited,
-            "longest_word_length": self.longest_word_length,
-            "longest_word": self.longest_word,
-        }
-
-
-_DEFAULT_DEPTH = {2: 400, 3: 60}
+        return asdict(self)
 
 
 # Each factory names one shape of end check (the perfbench harness reads the
@@ -187,7 +176,7 @@ def _compile_end_checker(p: str):
     return per_node, factory(_plan(anchored)), anchored
 
 
-def prove_k_unavoidable(p: str, k: int, depth_limit: int | None = None) -> BacktrackReport:
+def prove_k_unavoidable(p: str, k: int, depth_limit: int) -> BacktrackReport:
     """Exhaust the tree of words over a k-letter alphabet avoiding p.
 
     Children are tried in letter order, and the first letter is fixed to 0:
@@ -198,8 +187,6 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int | None = None) -> Backt
         raise ValueError("the empty pattern has no instances; classify it directly")
     if not 1 <= k <= 4:
         raise ValueError(f"alphabet size must be between 1 and 4, got {k}")
-    if depth_limit is None:
-        depth_limit = _DEFAULT_DEPTH.get(k, 60)
     if depth_limit < 1:
         raise ValueError("depth limit must be at least 1")
 
@@ -209,24 +196,17 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int | None = None) -> Backt
     longest = ""
     nodes = 0
     stack = [0]
-    blocked = [False]  # per-node verdict for per_node checkers
     rwords = [b""]  # the path's node words, each reversed
 
     while stack:
         idx = stack[-1]
-        if blocked[-1]:
-            width = 0
-        else:
-            width = 1 if len(stack) == 1 else k
-        if idx >= width:
+        if idx >= (1 if len(stack) == 1 else k):
             stack.pop()
-            blocked.pop()
             rwords.pop()
             continue
         stack[-1] += 1
         nodes += 1
         rword = letters[idx] + rwords[-1]
-        # per-node checkers decided this child's fate through the parent's flag
         if not per_node and check(rword):
             continue
         n = len(rword)
@@ -234,7 +214,8 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int | None = None) -> Backt
             longest = rword[::-1].decode()
         if n >= depth_limit:
             return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest)
-        blocked.append(per_node and check(rword))
+        if per_node and check(rword):
+            continue  # every child of rword contains p
         rwords.append(rword)
         stack.append(0)
 

@@ -39,8 +39,8 @@ def parse_word(text: str, alphabet_size: int | None = None) -> str:
     if alphabet_size is not None and not 1 <= alphabet_size <= 10:
         raise ValueError(f"alphabet size must be between 1 and 10, got {alphabet_size}")
     for i, ch in enumerate(text):
-        if not ch.isdigit():
-            raise ValueError(f"invalid word letter {ch!r} at position {i}: expected a digit")
+        if not "0" <= ch <= "9":
+            raise ValueError(f"invalid word letter {ch!r} at position {i}: expected a digit 0-9")
         if alphabet_size is not None and int(ch) >= alphabet_size:
             raise ValueError(
                 f"letter {ch} at position {i} is outside the {alphabet_size}-letter alphabet"

@@ -21,6 +21,7 @@ prefix of prefix(n) for m <= n, for a fixed lookahead policy.
 from __future__ import annotations
 
 import os
+import tempfile
 from functools import lru_cache
 
 # Binary morphisms as (image of 0, image of 1).
@@ -225,7 +226,7 @@ def contains_overlap(w: str) -> str | None:
 # --- left completions -----------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _tm_factor_images(m: tuple[str, str], max_factor_len: int) -> frozenset[str]:
+def tm_factor_images(m: tuple[str, str], max_factor_len: int) -> frozenset[str]:
     """Images under m of all Thue-Morse factors of length 1..max_factor_len."""
     tau = thue_morse_prefix(covering_prefix_length(max_factor_len))
     images = set()
@@ -239,7 +240,7 @@ def _tm_factor_images(m: tuple[str, str], max_factor_len: int) -> frozenset[str]
 def _max_image_suffix(m: tuple[str, str], max_factor_len: int) -> dict[str, int]:
     """For each image v: the length of its longest proper suffix that is
     itself an image (0 when none)."""
-    images = _tm_factor_images(m, max_factor_len)
+    images = tm_factor_images(m, max_factor_len)
     out = {}
     for v in images:
         best = 0
@@ -254,7 +255,7 @@ def _max_image_suffix(m: tuple[str, str], max_factor_len: int) -> dict[str, int]
 @lru_cache(maxsize=4096)
 def _images_by_suffix(m: tuple[str, str], max_factor_len: int, suffix_len: int) -> dict:
     index: dict[str, list[str]] = {}
-    for v in _tm_factor_images(m, max_factor_len):
+    for v in tm_factor_images(m, max_factor_len):
         if len(v) >= suffix_len:
             index.setdefault(v[-suffix_len:], []).append(v)
     return index
@@ -278,12 +279,6 @@ def left_completions(u: str, m: tuple[str, str], max_factor_len: int = 64) -> li
     return sorted((v for v in candidates if suffix_len[v] < len(u)), key=lambda v: (len(v), v))
 
 
-def left_completion(u: str, m: tuple[str, str], max_factor_len: int = 64) -> str | None:
-    """The minimal left completion of u, or None if none exists in the bound."""
-    found = left_completions(u, m, max_factor_len)
-    return found[0] if found else None
-
-
 # --- unified prefix access and the on-disk cache ---------------------------------
 
 def _grow_image_prefix(m: tuple[str, str], n: int) -> str:
@@ -296,7 +291,10 @@ def sequence_prefix(seq_id: str, n: int, lookahead: int = DEFAULT_LOOKAHEAD,
 
     Cache files hold a single digit string, newline-terminated, under the name
     ``<seqid>-<n>[-la<lookahead>].txt`` (the lookahead part only for the two
-    backtracking-derived sequences).
+    backtracking-derived sequences).  A cached word of the wrong length or
+    with a letter outside the sequence's alphabet is regenerated and
+    overwritten; files are written under a temporary name and renamed into
+    place, so a reader never sees a partly written one.
     """
     if seq_id not in SEQUENCE_IDS:
         raise ValueError(f"unknown sequence id {seq_id!r}; expected one of {', '.join(SEQUENCE_IDS)}")
@@ -310,8 +308,10 @@ def sequence_prefix(seq_id: str, n: int, lookahead: int = DEFAULT_LOOKAHEAD,
             name += f"-la{lookahead}"
         path = os.path.join(cache_dir, name + ".txt")
         if os.path.exists(path):
-            with open(path) as fh:
-                return fh.read().strip()
+            with open(path, encoding="ascii", errors="replace") as fh:
+                word = fh.read().strip()
+            if len(word) == n and set(word) <= set("012" if seq_id == "g-ternary" else "01"):
+                return word
 
     if seq_id == "thue-morse":
         word = thue_morse_prefix(n)
@@ -326,6 +326,12 @@ def sequence_prefix(seq_id: str, n: int, lookahead: int = DEFAULT_LOOKAHEAD,
 
     if path is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(word + "\n")
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(word + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
     return word

@@ -15,7 +15,7 @@ report asserts it as a regression guard.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 from .engine import (
@@ -49,6 +49,7 @@ from .sequences import (
     reversible_factors,
     square_limited_prefix,
     thue_morse_prefix,
+    tm_factor_images,
 )
 
 # Binary words z of length 1..6 that may occur in w3 together with their
@@ -67,7 +68,11 @@ FORBIDDEN_G_FACTORS = ("220122201", "012220122")
 
 @dataclass
 class VerificationReport:
-    """Result of one verification check, JSON-serializable via as_dict."""
+    """Result of one verification check, JSON-serializable via as_dict.
+
+    ``elapsed`` is the check's wall time in seconds as timed by
+    ``run_checks``; a report from a direct ``vf_*`` call leaves it at 0.0.
+    """
 
     check_id: str
     claim: str
@@ -78,15 +83,7 @@ class VerificationReport:
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "claim": self.claim,
-            "parameters": self.parameters,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "searched_bound": self.searched_bound,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 def bound_factor_length(u_len: int, image1_len: int) -> int:
@@ -108,9 +105,13 @@ def _image_window(m: tuple[str, str], factor_len: int) -> tuple[int, str]:
     return prefix_len, apply_binary_morphism(m, thue_morse_prefix(prefix_len))
 
 
-def _finish(report: VerificationReport, started: float) -> VerificationReport:
-    report.elapsed = round(time.perf_counter() - started, 6)
-    return report
+def _bounded_hit(w: str, p: str, max_x: int, max_y: int) -> dict | None:
+    """Counterexample for a bounded instance search: the pattern and the
+    least instance of it in w with |X| <= max_x and |Y| <= max_y, or None."""
+    wit = find_instance_bounded(w, p, max_x, max_y)
+    if wit is None:
+        return None
+    return {"pattern": p, "start": wit.start, "x": wit.x, "y": wit.y}
 
 
 # --- squares and the section-4 constructions --------------------------------------
@@ -118,7 +119,6 @@ def _finish(report: VerificationReport, started: float) -> VerificationReport:
 def vf_square_limited(n: int = 2000, lookahead: int = 100,
                       word: str | None = None) -> VerificationReport:
     """Square inventory of the square-limited word: exactly 00, 11, 0101."""
-    t0 = time.perf_counter()
     injected = word is not None
     w = word if injected else square_limited_prefix(n, lookahead)
     squares = collect_squares(w)
@@ -131,7 +131,7 @@ def vf_square_limited(n: int = 2000, lookahead: int = 100,
         counter = {"missing_squares": missing}
     if "1010" in w and counter is None:
         counter = {"square": "1010"}
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="square-limited",
         claim="every square factor of the square-limited word is one of 00, 11, 0101, "
               "all three occur, and 1010 never occurs",
@@ -140,7 +140,7 @@ def vf_square_limited(n: int = 2000, lookahead: int = 100,
         passed=counter is None,
         counterexample=counter,
         searched_bound={"prefix_length": len(w)},
-    ), t0)
+    )
 
 
 def mod3_step_violation(w: str) -> str | None:
@@ -153,15 +153,9 @@ def mod3_step_violation(w: str) -> str | None:
 
 def vf_g_avoidance(n: int = 400, lookahead: int = 100) -> VerificationReport:
     """The ternary word g avoids xyxY and xyXY, plus its structure facts."""
-    t0 = time.perf_counter()
     g = g_from(square_limited_prefix(n, lookahead))
     cap = min(len(g) // 4, 15)
-    counter = None
-    for p in ("xyxY", "xyXY"):
-        wit = find_instance_bounded(g, p, cap, cap)
-        if wit is not None:
-            counter = {"pattern": p, "start": wit.start, "x": wit.x, "y": wit.y}
-            break
+    counter = _bounded_hit(g, "xyxY", cap, cap) or _bounded_hit(g, "xyXY", cap, cap)
     if counter is None:
         bad = mod3_step_violation(g)
         if bad is not None:
@@ -171,7 +165,7 @@ def vf_g_avoidance(n: int = 400, lookahead: int = 100) -> VerificationReport:
             if f in g:
                 counter = {"forbidden_factor": f}
                 break
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="g-avoidance",
         claim="the ternary word g built from the square-limited word avoids xyxY and "
               "xyXY, has no length-2 factor cd with c = d+1 mod 3, and never contains "
@@ -180,35 +174,30 @@ def vf_g_avoidance(n: int = 400, lookahead: int = 100) -> VerificationReport:
         passed=counter is None,
         counterexample=counter,
         searched_bound={"g_length": len(g)},
-    ), t0)
+    )
 
 
 def vf_square_limited_xyxyX(n: int = 400, lookahead: int = 100) -> VerificationReport:
     """The square-limited word avoids xyxyX (and has no factor 1010)."""
-    t0 = time.perf_counter()
     w = square_limited_prefix(n, lookahead)
     cap = min(n // 5, 15)
-    wit = find_instance_bounded(w, "xyxyX", cap, cap)
-    counter = None
-    if wit is not None:
-        counter = {"pattern": "xyxyX", "start": wit.start, "x": wit.x, "y": wit.y}
-    elif "1010" in w:
+    counter = _bounded_hit(w, "xyxyX", cap, cap)
+    if counter is None and "1010" in w:
         counter = {"factor": "1010"}
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="square-limited-xyxyX",
         claim="the square-limited word avoids xyxyX; 1010 is not among its factors",
         parameters={"n": n, "lookahead": lookahead, "max_x": cap, "max_y": cap},
         passed=counter is None,
         counterexample=counter,
         searched_bound={"prefix_length": len(w)},
-    ), t0)
+    )
 
 
 # --- the four morphic images ------------------------------------------------------
 
 def vf_w1() -> VerificationReport:
     """w1 = f1(t) avoids xyxYX: no reversible length-7 factor, no short instance."""
-    t0 = time.perf_counter()
     rev_bound = bound_factor_length(7, len(F1[1]))
     len56, img56 = _image_window(F1, 7)
     inst_bound = bound_factor_length(3 * 6 + 2 * 6, len(F1[1]))
@@ -221,10 +210,8 @@ def vf_w1() -> VerificationReport:
         if rev:
             counter = {"reversible_factor": sorted(rev)[0]}
     if counter is None:
-        wit = find_instance_bounded(img112, "xyxYX", 6, 6)
-        if wit is not None:
-            counter = {"pattern": "xyxYX", "start": wit.start, "x": wit.x, "y": wit.y}
-    return _finish(VerificationReport(
+        counter = _bounded_hit(img112, "xyxYX", 6, 6)
+    return VerificationReport(
         check_id="w1",
         claim="f1(t) has no length-7 factor z with z reversed also a factor, and no "
               "instance of xyxYX with |X|,|Y| <= 6; hence w1 avoids xyxYX",
@@ -233,12 +220,11 @@ def vf_w1() -> VerificationReport:
         counterexample=counter,
         searched_bound={"tm_prefix_reversible": len56, "tm_prefix_instances": len112,
                         "factor_bounds": [rev_bound, inst_bound]},
-    ), t0)
+    )
 
 
 def vf_w2() -> VerificationReport:
     """w2 = f2(t) avoids xyXYx."""
-    t0 = time.perf_counter()
     len112, img = _image_window(F2, 3 * 6 + 2 * 6)
     counter = None
     if len112 != 112:
@@ -246,10 +232,8 @@ def vf_w2() -> VerificationReport:
     elif len(img) != 504:
         counter = {"image_length": len(img)}
     else:
-        wit = find_instance_bounded(img, "xyXYx", 6, 6)
-        if wit is not None:
-            counter = {"pattern": "xyXYx", "start": wit.start, "x": wit.x, "y": wit.y}
-    return _finish(VerificationReport(
+        counter = _bounded_hit(img, "xyXYx", 6, 6)
+    return VerificationReport(
         check_id="w2",
         claim="f2(t) restricted to the covering prefix (length 504) has no instance "
               "of xyXYx with |X|,|Y| <= 6; hence w2 avoids xyXYx",
@@ -257,7 +241,7 @@ def vf_w2() -> VerificationReport:
         passed=counter is None,
         counterexample=counter,
         searched_bound={"tm_prefix": len112, "image_length": len(img)},
-    ), t0)
+    )
 
 
 def _context_sets(w: str, y: str) -> tuple[set[str], set[str]]:
@@ -280,7 +264,6 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
     are non-empty for y = 000.  The repaired decomposition that the avoidance
     theorem actually needs is checked by vf_w3_contexts_repaired.
     """
-    t0 = time.perf_counter()
     img1 = len(F3[1])
     lengths = {
         "reversible": covering_prefix_length(bound_factor_length(6, img1)),
@@ -312,10 +295,10 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
         details["contexts"] = violations
 
     # (c) no short instance of xyxYx
-    wit = find_instance_bounded(w, "xyxYx", 8, 2)
-    clauses["instances"] = wit is None
-    if wit is not None:
-        details["instances"] = {"start": wit.start, "x": wit.x, "y": wit.y}
+    hit = _bounded_hit(w, "xyxYx", 8, 2)
+    clauses["instances"] = hit is None
+    if hit is not None:
+        details["instances"] = hit
 
     # (d) every length-9 factor contains 11
     missing11 = sorted(z for z in factor_set(w, 9) if "11" not in z)
@@ -338,7 +321,7 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
         details["completions"] = completion_failures
 
     failed = [name for name, ok in clauses.items() if not ok]
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="w3",
         claim="f3(t): reversible factors up to length 6 lie in the 22-word table, "
               "their two-sided length-3 contexts never coexist outside {0,1,00}, no "
@@ -350,7 +333,7 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
         counterexample={"clauses": failed, "details": details} if failed else None,
         searched_bound={"tm_prefix": prefix_len, "per_clause": lengths,
                         "image_length": len(w), "clause_results": clauses},
-    ), t0)
+    )
 
 
 def vf_w3_contexts_repaired() -> VerificationReport:
@@ -363,7 +346,6 @@ def vf_w3_contexts_repaired() -> VerificationReport:
     completion machinery for |X| >= 9 this is what the avoidance proof
     consumes.
     """
-    t0 = time.perf_counter()
     prefix_len = covering_prefix_length(bound_factor_length(3 * 8 + 2 * 6, len(F3[1])))
     w = apply_binary_morphism(F3, thue_morse_prefix(prefix_len))
     counter = None
@@ -375,10 +357,8 @@ def vf_w3_contexts_repaired() -> VerificationReport:
             counter = {"y": y, "left": sorted(left), "right": sorted(right)}
             break
     if counter is None:
-        wit = find_instance_bounded(w, "xyxYx", 8, 6)
-        if wit is not None:
-            counter = {"start": wit.start, "x": wit.x, "y": wit.y}
-    return _finish(VerificationReport(
+        counter = _bounded_hit(w, "xyxYx", 8, 6)
+    return VerificationReport(
         check_id="w3-contexts-repaired",
         claim="non-palindromic reversible factors of w3 outside {0,1,00} fail one of "
               "the two-sided context sets, and no instance of xyxYx with |X| <= 8 and "
@@ -387,7 +367,7 @@ def vf_w3_contexts_repaired() -> VerificationReport:
         passed=counter is None,
         counterexample=counter,
         searched_bound={"tm_prefix": prefix_len, "image_length": len(w)},
-    ), t0)
+    )
 
 
 def _image_blocks(tau: str, m: tuple[str, str]) -> list[tuple[int, str]]:
@@ -407,7 +387,6 @@ def internal_factors(w: str, min_len: int) -> set[str]:
 
 def vf_w4() -> VerificationReport:
     """The finite searches behind: w4 = f4(t) avoids xyXyx."""
-    t0 = time.perf_counter()
     img1 = F4[1]
     rev_prefix = covering_prefix_length(bound_factor_length(21, len(img1)))
     inst_prefix = covering_prefix_length(bound_factor_length(3 * 20 + 2 * 5, len(img1)))
@@ -428,9 +407,9 @@ def vf_w4() -> VerificationReport:
 
     # (b) no bounded instance of xyXyx in the covering image
     if counter is None:
-        wit = find_instance_bounded(w, "xyXyx", 20, 5)
-        if wit is not None:
-            counter = {"clause": "instances", "start": wit.start, "x": wit.x, "y": wit.y}
+        hit = _bounded_hit(w, "xyXyx", 20, 5)
+        if hit is not None:
+            counter = {"clause": "instances", **hit}
 
     # (c) every 011 ends an image block of 1
     if counter is None:
@@ -464,17 +443,13 @@ def vf_w4() -> VerificationReport:
 
     # (e) bispecial factors of length 6..24 are image words
     if counter is None:
-        images = set()
-        big_tau = thue_morse_prefix(covering_prefix_length(24))
-        for length in range(1, 25):
-            for v in factor_set(big_tau, length):
-                images.add(apply_binary_morphism(F4, v))
+        images = tm_factor_images(F4, 24)
         for y in sorted(bispecial_factors(w, 24)):
             if len(y) >= 6 and y not in images:
                 counter = {"clause": "bispecial", "factor": y}
                 break
 
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="w4",
         claim="f4(t): no reversible length-21 factor, no instance of xyXyx with "
               "|X|<=20,|Y|<=5 in the covering image, 011 occurs only as an image-block "
@@ -486,14 +461,13 @@ def vf_w4() -> VerificationReport:
         searched_bound={"tm_prefix": prefix_len,
                         "per_clause": {"reversible": rev_prefix, "instances": inst_prefix,
                                        "bispecial": bis_prefix}},
-    ), t0)
+    )
 
 
 # --- unavoidability, the alternating word, and the classifier oracle --------------
 
 def vf_pigeonhole(k: int = 2) -> VerificationReport:
     """Every word of length 2k+1 over k letters contains xyx and xyX."""
-    t0 = time.perf_counter()
     if not 1 <= k <= 3:
         raise ValueError("pigeonhole check supports alphabets of size 1..3")
     length = 2 * k + 1
@@ -509,7 +483,7 @@ def vf_pigeonhole(k: int = 2) -> VerificationReport:
                 break
         if counter is not None:
             break
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="pigeonhole",
         claim=f"every word of length {length} over {k} letters contains an instance "
               "of xyx and of xyX",
@@ -517,12 +491,11 @@ def vf_pigeonhole(k: int = 2) -> VerificationReport:
         passed=counter is None,
         counterexample=counter,
         searched_bound={"words_checked": total},
-    ), t0)
+    )
 
 
 def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
     """Graph bipartiteness coincides with having an instance in 0101..."""
-    t0 = time.perf_counter()
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     counter = None
@@ -541,7 +514,7 @@ def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
                 break
         if counter is not None:
             break
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="alternating",
         claim="for every pattern of length 2..{}: the pattern graph is 2-colorable "
               "exactly when 0101... contains an instance (images of 1 or 2 letters "
@@ -550,7 +523,7 @@ def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
         passed=counter is None,
         counterexample=counter,
         searched_bound={"patterns_checked": checked, "image_bounds": [2, 2]},
-    ), t0)
+    )
 
 
 def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
@@ -560,7 +533,6 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
     Searches run once per equivalence class (avoidability is class-invariant);
     the classifier is still checked against every individual pattern.
     """
-    t0 = time.perf_counter()
     if not 1 <= max_len <= 5:
         raise ValueError("the oracle sweep supports pattern lengths 1..5")
     cache: dict[str, tuple] = {}
@@ -591,7 +563,7 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
                 break
         if counter is not None:
             break
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="classifier-oracle",
         claim="for every pattern up to length {}: index 2 iff a binary avoider of "
               "length {} exists, unavoidable iff the ternary tree dies below depth "
@@ -602,7 +574,7 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
         passed=counter is None,
         counterexample=counter,
         searched_bound={"patterns_checked": checked, "classes_searched": len(cache)},
-    ), t0)
+    )
 
 
 def vf_classical_seed_avoiders(witness_len: int = 200,
@@ -614,7 +586,6 @@ def vf_classical_seed_avoiders(witness_len: int = 200,
     a.z.a.z.a factor scan at full length and through the generic matcher on a
     shorter prefix; the square-limited word supplies the xyxyX witness.
     """
-    t0 = time.perf_counter()
     counter = None
     for p in sorted(SEED_PARTITION["classical"]):
         r = prove_k_unavoidable(p, 2, witness_len)
@@ -636,7 +607,7 @@ def vf_classical_seed_avoiders(witness_len: int = 200,
         sub = vf_square_limited_xyxyX()
         if not sub.passed:
             counter = {"square_limited": sub.counterexample}
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="classical-seeds",
         claim="each of the five classical seeds has a binary avoider of length "
               f"{witness_len}; the Thue-Morse prefix of length {overlap_prefix} is "
@@ -646,14 +617,13 @@ def vf_classical_seed_avoiders(witness_len: int = 200,
         passed=counter is None,
         counterexample=counter,
         searched_bound={"overlap_scan": overlap_prefix, "matcher_scan": matcher_prefix},
-    ), t0)
+    )
 
 
 # --- factor-locality of morphic images and Thue-Morse windows ---------------------
 
 def vf_image_locality(morphism: str = "f1", max_len: int = 30) -> VerificationReport:
     """Short factors of m(t) appear in images of short Thue-Morse factors."""
-    t0 = time.perf_counter()
     if morphism not in MORPHISMS or morphism == "h":
         raise ValueError("image locality applies to f1, f2, f3 or f4")
     m = MORPHISMS[morphism]
@@ -672,7 +642,7 @@ def vf_image_locality(morphism: str = "f1", max_len: int = 30) -> VerificationRe
                 break
         if counter is not None:
             break
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id=f"image-locality-{morphism}",
         claim=f"every factor of {morphism}(t) up to length {max_len} is a factor of "
               f"{morphism}(v) for a Thue-Morse factor v within the derived length bound",
@@ -680,12 +650,11 @@ def vf_image_locality(morphism: str = "f1", max_len: int = 30) -> VerificationRe
         passed=counter is None,
         counterexample=counter,
         searched_bound={"image_prefix": prefix_len, "factors_checked": checked},
-    ), t0)
+    )
 
 
 def vf_tm_prefix_covering(max_exp: int = 6, big_len: int = 7 * 256) -> VerificationReport:
     """Factors of length 2**e + 1 all occur in the prefix of length 7 * 2**e."""
-    t0 = time.perf_counter()
     big = thue_morse_prefix(big_len)
     counter = None
     for e in range(max_exp + 1):
@@ -698,7 +667,7 @@ def vf_tm_prefix_covering(max_exp: int = 6, big_len: int = 7 * 256) -> Verificat
         if stray:
             counter = {"exp": e, "factor": sorted(stray)[0]}
             break
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="tm-prefix-covering",
         claim=f"for e = 0..{max_exp}, every factor of Thue-Morse of length 2^e + 1 "
               "occurs in the prefix of length 7 * 2^e",
@@ -706,12 +675,11 @@ def vf_tm_prefix_covering(max_exp: int = 6, big_len: int = 7 * 256) -> Verificat
         passed=counter is None,
         counterexample=counter,
         searched_bound={"host_prefix": big_len},
-    ), t0)
+    )
 
 
 def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
     """Odd-length factors come from images of half-length factors under h."""
-    t0 = time.perf_counter()
     host = thue_morse_prefix(prefix_len)
     counter = None
     for length in range(1, prefix_len + 1, 2):
@@ -726,7 +694,7 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
         if stray:
             counter = {"length": length, "factor": sorted(stray)[0]}
             break
-    return _finish(VerificationReport(
+    return VerificationReport(
         check_id="tm-desubstitution",
         claim=f"every odd-length factor of the length-{prefix_len} Thue-Morse prefix "
               "is a factor of h(v) for a factor v of half its rounded-up length",
@@ -734,7 +702,7 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
         passed=counter is None,
         counterexample=counter,
         searched_bound={"host_prefix": prefix_len},
-    ), t0)
+    )
 
 
 # --- registry ---------------------------------------------------------------------
@@ -766,6 +734,8 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
 
     With ``only``, unexpected parameters are an error; across the whole
     registry each check receives just the parameters its signature accepts.
+    This is the one place a check is timed: each report's ``elapsed`` is
+    set here, in seconds rounded to six digits.
     """
     import inspect
 
@@ -783,5 +753,8 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
                 kwargs[key] = value
             elif only is not None:
                 raise ValueError(f"check {check_id!r} does not accept parameter {key!r}")
-        reports.append(fn(**kwargs))
+        started = time.perf_counter()
+        report = fn(**kwargs)
+        report.elapsed = round(time.perf_counter() - started, 6)
+        reports.append(report)
     return reports

@@ -10,6 +10,8 @@ def _out(capsys):
 
 
 def test_classify(capsys):
+    assert run(["classify", "xxx"]) == 0
+    assert _out(capsys) == "2"
     assert run(["classify", "xyxY"]) == 0
     assert _out(capsys) == "3"
     assert run(["classify", "xyX"]) == 0

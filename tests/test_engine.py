@@ -127,11 +127,6 @@ def test_prove_argument_validation():
         prove_k_unavoidable("xx", 2, 0)
 
 
-def test_prove_default_depths():
-    assert prove_k_unavoidable("xX", 2).depth_limit == 400
-    assert prove_k_unavoidable("xyx", 3).depth_limit == 60
-
-
 def _brute_force_prove(p, k, depth):
     """(terminated, longest_word_length, longest_word) from level-by-level
     enumeration of the 0-led avoiders, with ``avoids`` as the only test."""

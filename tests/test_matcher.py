@@ -30,6 +30,11 @@ def test_parse_word():
         parse_word("012", alphabet_size=2)
     with pytest.raises(ValueError):
         parse_word("0", alphabet_size=11)
+    # str.isdigit accepts ARABIC-INDIC DIGIT THREE and SUPERSCRIPT TWO
+    for text, pos in (("\u0663", 0), ("\u00b2", 0), ("\u0663\u0663", 0), ("0\u0663", 1)):
+        for size in (None, 3, 10):
+            with pytest.raises(ValueError, match=f"position {pos}"):
+                parse_word(text, alphabet_size=size)
 
 
 def test_apply_morphism_examples():
@@ -89,14 +94,14 @@ def test_y_only_patterns_report_y_assignments():
     assert witness_image("yy", w) == "00"
 
 
-def _oracle_find(w, p):
+def _oracle_find(w, p, max_x=None, max_y=None):
     """Direct enumeration of (start, |X|, |Y|) with apply_morphism as the
     only reconstruction step; independent of the matcher's slot logic."""
     a, b = variable_counts(p)
     n = len(w)
     for start in range(n):
-        for lx in (range(1, n + 1) if a else (0,)):
-            for ly in (range(1, n + 1) if b else (0,)):
+        for lx in (range(1, min(n, max_x or n) + 1) if a else (0,)):
+            for ly in (range(1, min(n, max_y or n) + 1) if b else (0,)):
                 total = a * lx + b * ly
                 if total == 0 or start + total > n:
                     continue
@@ -130,6 +135,16 @@ def test_matcher_agrees_with_oracle_on_all_short_patterns():
             got = find_instance(w, p) if w else None
             want = _oracle_find(w, p) if w else None
             assert got == want, (p, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["01", "012"]).flatmap(
+           lambda letters: st.text(alphabet=letters, min_size=1, max_size=14)),
+       st.text(alphabet=PATTERN_ALPHABET, min_size=1, max_size=4),
+       st.integers(1, 5), st.integers(1, 5))
+def test_matcher_agrees_with_oracle_on_random_words(w, p, max_x, max_y):
+    assert find_instance(w, p) == _oracle_find(w, p)
+    assert find_instance_bounded(w, p, max_x, max_y) == _oracle_find(w, p, max_x, max_y)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,7 +19,6 @@ from revpat.sequences import (
     covering_prefix_length,
     factor_set,
     g_from,
-    left_completion,
     left_completions,
     reversible_factors,
     sequence_prefix,
@@ -172,14 +171,13 @@ def test_bispecial_examples():
 
 
 def test_left_completion_examples():
-    assert left_completion("11", F3) == "001011"
-    assert left_completion("011", F3) == "001011"
-    assert left_completion("01", F3) is None
     assert left_completions("11", F3) == ["001011"]
+    assert left_completions("011", F3)[0] == "001011"
+    assert left_completions("01", F3) == []
     with pytest.raises(ValueError):
-        left_completion("", F3)
+        left_completions("", F3)
     with pytest.raises(ValueError):
-        left_completion("11", H)
+        left_completions("11", H)
 
 
 def test_overlap_scan_examples():
@@ -230,6 +228,19 @@ def test_sequence_prefix_cache_round_trip(tmp_path):
     assert sequence_prefix("square-limited", 50, cache_dir=str(tmp_path)) == word
     tm = sequence_prefix("thue-morse", 32, cache_dir=str(tmp_path))
     assert (tmp_path / "thue-morse-32.txt").read_text() == tm + "\n"
+
+
+@pytest.mark.parametrize("seq_id, name, stored", [
+    ("thue-morse", "thue-morse-32.txt", "0110100110010110"),  # truncated
+    ("w2", "w2-32.txt", "0" * 31 + "2"),  # a letter outside {0, 1}
+    ("g-ternary", "g-ternary-32-la100.txt", "3" * 32),  # outside {0, 1, 2}
+], ids=["truncated", "binary-holds-2", "ternary-holds-3"])
+def test_sequence_prefix_regenerates_a_bad_cache_file(tmp_path, seq_id, name, stored):
+    want = sequence_prefix(seq_id, 32)
+    (tmp_path / name).write_text(stored + "\n")
+    assert sequence_prefix(seq_id, 32, cache_dir=str(tmp_path)) == want
+    assert (tmp_path / name).read_text() == want + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
 def test_prefix_stability_across_families():

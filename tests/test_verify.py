@@ -1,12 +1,15 @@
 import json
+import random
 
 import pytest
 
-from revpat.matcher import find_instance
+from revpat import verify
+from revpat.matcher import apply_morphism, find_instance
 from revpat.sequences import F2, F4, apply_binary_morphism, thue_morse_prefix
 from revpat.verify import (
     CHECKS,
     UPSILON,
+    _bounded_hit,
     bound_factor_length,
     internal_factors,
     mod3_step_violation,
@@ -54,10 +57,37 @@ def test_run_checks_validation():
 def test_reports_are_deterministic_and_json_clean():
     first = vf_pigeonhole(2).as_dict()
     second = vf_pigeonhole(2).as_dict()
-    first.pop("elapsed")
-    second.pop("elapsed")
+    assert list(first) == ["check_id", "claim", "parameters", "passed",
+                           "counterexample", "searched_bound", "elapsed"]
     assert first == second
+    assert first["elapsed"] == 0.0  # only run_checks times a check
     json.dumps(second)
+
+
+def test_run_checks_times_every_report(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", {cid: CHECKS[cid] for cid in
+                                           ("pigeonhole", "alternating", "w2")})
+    reports = run_checks(params={"max_len": 3})
+    assert [r.check_id for r in reports] == ["pigeonhole", "alternating", "w2"]
+    for report in reports:
+        assert report.elapsed > 0
+        assert report.elapsed == round(report.elapsed, 6)
+
+
+def test_bounded_hit_replays_in_the_word():
+    rng = random.Random(3)
+    words = ["".join(rng.choice(letters) for _ in range(40)) for letters in ("01", "012")]
+    hits = 0
+    for w in words:
+        for p in ("xyxY", "xyXY", "xyxyX", "xyxYX", "xyXYx", "xyxYx", "xyXyx", "yyX"):
+            hit = _bounded_hit(w, p, 3, 3)
+            if hit is not None:
+                hits += 1
+                assert set(hit) == {"pattern", "start", "x", "y"} and hit["pattern"] == p
+                image = apply_morphism(p, hit["x"], hit["y"])
+                assert w[hit["start"]:hit["start"] + len(image)] == image
+    assert hits > 0
+    assert _bounded_hit(thue_morse_prefix(64), "xxx", 5, 5) is None
 
 
 def test_square_limited_check_passes_and_negative_controls():
