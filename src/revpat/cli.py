@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence", metavar="seqid",
                    help="one of: " + ", ".join(sequences.SEQUENCE_IDS))
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--lookahead", type=int, default=sequences.DEFAULT_LOOKAHEAD)
     p.add_argument("--cache", default=None,
                    help="cache directory (default: $REVPAT_CACHE or ./cache)")
 
@@ -153,10 +152,9 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
         if args.length < 0:
             raise ValueError("--length must be non-negative")
         cache_dir = args.cache or os.environ.get("REVPAT_CACHE") or "./cache"
-        word = sequences.sequence_prefix(args.sequence, args.length,
-                                         lookahead=args.lookahead, cache_dir=cache_dir)
+        word = sequences.sequence_prefix(args.sequence, args.length, cache_dir=cache_dir)
         _emit({"sequence": args.sequence, "length": args.length,
-               "lookahead": args.lookahead, "word": word}, as_json, word)
+               "lookahead": sequences.DEFAULT_LOOKAHEAD, "word": word}, as_json, word)
         return 0
 
     if args.command == "search":

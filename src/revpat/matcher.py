@@ -185,7 +185,9 @@ def _search(w: str, p: str, max_x: int | None, max_y: int | None) -> InstanceWit
         return inner and InstanceWitness(inner.start, inner.x[::-1], inner.y)
 
     plan = _plan(p)
-    data = w.encode("ascii")  # offsets into data are offsets into w
+    data = w.encode("ascii", "replace")  # offsets into data are offsets into w
+    if data.translate(None, b"0123456789"):
+        parse_word(w)  # raises, naming the first letter that is not a digit
     for start in range(len(data)):
         found = _match_at(plan, data, start, max_x, max_y)
         if found is not None:

@@ -6,16 +6,17 @@ The families, addressed by the ids in ``SEQUENCE_IDS``:
 * ``alternating`` -- 010101...
 * ``square-limited`` -- the lexicographically least infinite binary word whose
   only square factors are 00, 11 and 0101.  It is produced by depth-first
-  backtracking; a prefix of length n is emitted only once a valid extension by
-  ``lookahead`` further letters exists.  Backtracking across an already
-  emitted boundary would invalidate earlier output and raises instead of
-  being absorbed (it has never been observed for the default lookahead).
+  backtracking over one growing word; a prefix of length n is emitted only
+  once that word has a valid extension by ``DEFAULT_LOOKAHEAD`` (100) further
+  letters.  Backtracking across an already emitted boundary would invalidate
+  earlier output and raises instead of being absorbed (it has never been
+  observed).
 * ``g-ternary`` -- the ternary word obtained from the square-limited word by
   replacing every factor 10 with 12220.
 * ``w1`` .. ``w4`` -- images of t under the binary morphisms F1 .. F4 below.
 
 Everything downstream treats these as pure prefix functions: prefix(m) is a
-prefix of prefix(n) for m <= n, for a fixed lookahead policy.
+prefix of prefix(n) for m <= n.
 """
 
 from __future__ import annotations
@@ -33,26 +34,21 @@ F4 = ("0", "1000010011")
 
 MORPHISMS = {"h": H, "f1": F1, "f2": F2, "f3": F3, "f4": F4}
 
-SEQUENCE_IDS = (
-    "thue-morse",
-    "alternating",
-    "square-limited",
-    "g-ternary",
-    "w1",
-    "w2",
-    "w3",
-    "w4",
-)
-
 DEFAULT_LOOKAHEAD = 100
 
 ALLOWED_SQUARES = frozenset({"00", "11", "0101"})
 
 
+class _BinaryImages(dict):
+    """``str.translate`` table of a binary morphism; other letters raise."""
+
+    def __missing__(self, code: int):
+        raise ValueError(f"letter {chr(code)!r} is not binary: expected 0 or 1")
+
+
 def apply_binary_morphism(m: tuple[str, str], w: str) -> str:
     """Letterwise image of a binary word under the morphism m."""
-    img0, img1 = m
-    return "".join(img1 if c == "1" else img0 for c in w)
+    return w.translate(_BinaryImages({48: m[0], 49: m[1]}))
 
 
 # --- Thue-Morse ---------------------------------------------------------------
@@ -92,8 +88,9 @@ def covering_prefix_length(factor_len: int) -> int:
 
 # --- the square-limited word ----------------------------------------------------
 
-# Per lookahead: the raw DFS word so far and the largest emitted prefix length.
-_sl_state: dict[int, dict] = {}
+# The raw DFS word so far and the largest prefix length handed out of it.
+_sl_word = bytearray()
+_sl_emitted = 0
 
 
 def _square_violation_at_end(mv: memoryview, n: int) -> bool:
@@ -116,47 +113,33 @@ def _extend_square_limited(word: bytearray, target: int, floor: int) -> None:
     ``floor`` letters have already been handed out to callers and may not be
     revised; crossing that boundary is a hard error.
     """
+    c = 0x30  # try 0 first: the generated word is lexicographically least
     while len(word) < target:
-        c = 0x30  # try 0 first: the generated word is lexicographically least
-        while True:
-            word.append(c)
-            mv = memoryview(word)
+        word.append(c)
+        with memoryview(word) as mv:
             bad = _square_violation_at_end(mv, len(word))
-            mv.release()
-            if not bad:
-                break
-            word.pop()
-            if c == 0x30:
-                c = 0x31
-                continue
-            while True:
+        if bad:
+            # drop the failed letter and every 1 before it; the 0 reached becomes a 1
+            while word.pop() == 0x31:
                 if not word:
                     raise RuntimeError("square-limited generation backtracked past position 0")
-                last = word.pop()
-                if len(word) < floor:
+                if len(word) <= floor:
                     raise RuntimeError(
                         "square-limited generation backtracked across an emitted prefix; "
-                        "increase the lookahead"
+                        "increase DEFAULT_LOOKAHEAD"
                     )
-                if last == 0x30:
-                    c = 0x31
-                    break
+        c = 0x31 if bad else 0x30
 
 
-def square_limited_prefix(n: int, lookahead: int = DEFAULT_LOOKAHEAD) -> str:
+def square_limited_prefix(n: int) -> str:
     """Length-n prefix of the least binary word with square set {00, 11, 0101}."""
+    global _sl_emitted
     if n < 0:
         raise ValueError("prefix length must be non-negative")
-    if lookahead < 1:
-        raise ValueError("lookahead must be at least 1")
-    if n == 0:
-        return ""
-    state = _sl_state.setdefault(lookahead, {"word": bytearray(), "emitted": 0})
-    target = n + lookahead
-    if len(state["word"]) < target:
-        _extend_square_limited(state["word"], target, state["emitted"])
-    state["emitted"] = max(state["emitted"], n)
-    return state["word"][:n].decode()
+    if n and len(_sl_word) < n + DEFAULT_LOOKAHEAD:
+        _extend_square_limited(_sl_word, n + DEFAULT_LOOKAHEAD, _sl_emitted)
+    _sl_emitted = max(_sl_emitted, n)
+    return _sl_word[:n].decode()
 
 
 def g_from(fw: str) -> str:
@@ -252,15 +235,6 @@ def _max_image_suffix(m: tuple[str, str], max_factor_len: int) -> dict[str, int]
     return out
 
 
-@lru_cache(maxsize=4096)
-def _images_by_suffix(m: tuple[str, str], max_factor_len: int, suffix_len: int) -> dict:
-    index: dict[str, list[str]] = {}
-    for v in tm_factor_images(m, max_factor_len):
-        if len(v) >= suffix_len:
-            index.setdefault(v[-suffix_len:], []).append(v)
-    return index
-
-
 def left_completions(u: str, m: tuple[str, str], max_factor_len: int = 64) -> list[str]:
     """All image words v = m(t) ending in u whose shorter image-suffixes miss u.
 
@@ -274,55 +248,51 @@ def left_completions(u: str, m: tuple[str, str], max_factor_len: int = 64) -> li
         raise ValueError("left completions are defined for non-empty factors")
     if m[0] != "0":
         raise ValueError("left completions expect a morphism fixing 0")
-    candidates = _images_by_suffix(m, max_factor_len, len(u)).get(u, [])
-    suffix_len = _max_image_suffix(m, max_factor_len)
-    return sorted((v for v in candidates if suffix_len[v] < len(u)), key=lambda v: (len(v), v))
+    found = (v for v, suffix_len in _max_image_suffix(m, max_factor_len).items()
+             if suffix_len < len(u) and v.endswith(u))
+    return sorted(found, key=lambda v: (len(v), v))
 
 
 # --- unified prefix access and the on-disk cache ---------------------------------
 
-def _grow_image_prefix(m: tuple[str, str], n: int) -> str:
-    return apply_binary_morphism(m, thue_morse_prefix(n))[:n]
+_PREFIXES = {
+    "thue-morse": thue_morse_prefix,
+    "alternating": alternating_prefix,
+    "square-limited": square_limited_prefix,
+    "g-ternary": lambda n: g_from(square_limited_prefix(n))[:n],
+    "w1": lambda n: apply_binary_morphism(F1, thue_morse_prefix(n))[:n],
+    "w2": lambda n: apply_binary_morphism(F2, thue_morse_prefix(n))[:n],
+    "w3": lambda n: apply_binary_morphism(F3, thue_morse_prefix(n))[:n],
+    "w4": lambda n: apply_binary_morphism(F4, thue_morse_prefix(n))[:n],
+}
+
+SEQUENCE_IDS = tuple(_PREFIXES)
 
 
-def sequence_prefix(seq_id: str, n: int, lookahead: int = DEFAULT_LOOKAHEAD,
-                    cache_dir: str | None = None) -> str:
+def sequence_prefix(seq_id: str, n: int, cache_dir: str | None = None) -> str:
     """Length-n prefix of one of the named sequences, optionally disk-cached.
 
     Cache files hold a single digit string, newline-terminated, under the name
-    ``<seqid>-<n>[-la<lookahead>].txt`` (the lookahead part only for the two
-    backtracking-derived sequences).  A cached word of the wrong length or
-    with a letter outside the sequence's alphabet is regenerated and
-    overwritten; files are written under a temporary name and renamed into
-    place, so a reader never sees a partly written one.
+    ``<seqid>-<n>.txt``.  A cached word of the wrong length or with a letter
+    outside the sequence's alphabet is regenerated and overwritten; files are
+    written under a temporary name and renamed into place, so a reader never
+    sees a partly written one.
     """
-    if seq_id not in SEQUENCE_IDS:
+    if seq_id not in _PREFIXES:
         raise ValueError(f"unknown sequence id {seq_id!r}; expected one of {', '.join(SEQUENCE_IDS)}")
     if n < 0:
         raise ValueError("prefix length must be non-negative")
 
     path = None
     if cache_dir is not None:
-        name = f"{seq_id}-{n}"
-        if seq_id in ("square-limited", "g-ternary"):
-            name += f"-la{lookahead}"
-        path = os.path.join(cache_dir, name + ".txt")
+        path = os.path.join(cache_dir, f"{seq_id}-{n}.txt")
         if os.path.exists(path):
             with open(path, encoding="ascii", errors="replace") as fh:
                 word = fh.read().strip()
             if len(word) == n and set(word) <= set("012" if seq_id == "g-ternary" else "01"):
                 return word
 
-    if seq_id == "thue-morse":
-        word = thue_morse_prefix(n)
-    elif seq_id == "alternating":
-        word = alternating_prefix(n)
-    elif seq_id == "square-limited":
-        word = square_limited_prefix(n, lookahead)
-    elif seq_id == "g-ternary":
-        word = g_from(square_limited_prefix(n, lookahead))[:n]
-    else:
-        word = _grow_image_prefix(MORPHISMS["f" + seq_id[1]], n)
+    word = _PREFIXES[seq_id](n)
 
     if path is not None:
         os.makedirs(cache_dir, exist_ok=True)

@@ -31,6 +31,7 @@ from .matcher import avoids, find_instance, find_instance_bounded
 from .patterns import canonical
 from .sequences import (
     ALLOWED_SQUARES,
+    DEFAULT_LOOKAHEAD,
     F1,
     F2,
     F3,
@@ -116,11 +117,10 @@ def _bounded_hit(w: str, p: str, max_x: int, max_y: int) -> dict | None:
 
 # --- squares and the section-4 constructions --------------------------------------
 
-def vf_square_limited(n: int = 2000, lookahead: int = 100,
-                      word: str | None = None) -> VerificationReport:
+def vf_square_limited(n: int = 2000, word: str | None = None) -> VerificationReport:
     """Square inventory of the square-limited word: exactly 00, 11, 0101."""
     injected = word is not None
-    w = word if injected else square_limited_prefix(n, lookahead)
+    w = word if injected else square_limited_prefix(n)
     squares = collect_squares(w)
     stray = sorted(squares - ALLOWED_SQUARES)
     missing = sorted(ALLOWED_SQUARES - squares)
@@ -129,13 +129,11 @@ def vf_square_limited(n: int = 2000, lookahead: int = 100,
         counter = {"square": stray[0]}
     elif missing:
         counter = {"missing_squares": missing}
-    if "1010" in w and counter is None:
-        counter = {"square": "1010"}
     return VerificationReport(
         check_id="square-limited",
         claim="every square factor of the square-limited word is one of 00, 11, 0101, "
               "all three occur, and 1010 never occurs",
-        parameters={"n": n if not injected else len(w), "lookahead": lookahead,
+        parameters={"n": n if not injected else len(w), "lookahead": DEFAULT_LOOKAHEAD,
                     "injected": injected},
         passed=counter is None,
         counterexample=counter,
@@ -151,9 +149,9 @@ def mod3_step_violation(w: str) -> str | None:
     return None
 
 
-def vf_g_avoidance(n: int = 400, lookahead: int = 100) -> VerificationReport:
+def vf_g_avoidance(n: int = 400) -> VerificationReport:
     """The ternary word g avoids xyxY and xyXY, plus its structure facts."""
-    g = g_from(square_limited_prefix(n, lookahead))
+    g = g_from(square_limited_prefix(n))
     cap = min(len(g) // 4, 15)
     counter = _bounded_hit(g, "xyxY", cap, cap) or _bounded_hit(g, "xyXY", cap, cap)
     if counter is None:
@@ -170,16 +168,16 @@ def vf_g_avoidance(n: int = 400, lookahead: int = 100) -> VerificationReport:
         claim="the ternary word g built from the square-limited word avoids xyxY and "
               "xyXY, has no length-2 factor cd with c = d+1 mod 3, and never contains "
               "220122201 or 012220122",
-        parameters={"n": n, "lookahead": lookahead, "max_x": cap, "max_y": cap},
+        parameters={"n": n, "lookahead": DEFAULT_LOOKAHEAD, "max_x": cap, "max_y": cap},
         passed=counter is None,
         counterexample=counter,
         searched_bound={"g_length": len(g)},
     )
 
 
-def vf_square_limited_xyxyX(n: int = 400, lookahead: int = 100) -> VerificationReport:
+def vf_square_limited_xyxyX(n: int = 400) -> VerificationReport:
     """The square-limited word avoids xyxyX (and has no factor 1010)."""
-    w = square_limited_prefix(n, lookahead)
+    w = square_limited_prefix(n)
     cap = min(n // 5, 15)
     counter = _bounded_hit(w, "xyxyX", cap, cap)
     if counter is None and "1010" in w:
@@ -187,7 +185,7 @@ def vf_square_limited_xyxyX(n: int = 400, lookahead: int = 100) -> VerificationR
     return VerificationReport(
         check_id="square-limited-xyxyX",
         claim="the square-limited word avoids xyxyX; 1010 is not among its factors",
-        parameters={"n": n, "lookahead": lookahead, "max_x": cap, "max_y": cap},
+        parameters={"n": n, "lookahead": DEFAULT_LOOKAHEAD, "max_x": cap, "max_y": cap},
         passed=counter is None,
         counterexample=counter,
         searched_bound={"prefix_length": len(w)},
@@ -732,10 +730,10 @@ CHECKS: dict[str, tuple] = {
 def run_checks(only: str | None = None, params: dict | None = None) -> list[VerificationReport]:
     """Run one named check or the whole registry, in registry order.
 
-    With ``only``, unexpected parameters are an error; across the whole
-    registry each check receives just the parameters its signature accepts.
-    This is the one place a check is timed: each report's ``elapsed`` is
-    set here, in seconds rounded to six digits.
+    Each selected check receives just the parameters its signature accepts;
+    a parameter that no selected check accepts is an error.  This is the one
+    place a check is timed: each report's ``elapsed`` is set here, in seconds
+    rounded to six digits.
     """
     import inspect
 
@@ -743,16 +741,15 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
     if only is not None and only not in CHECKS:
         raise ValueError(f"unknown check id {only!r}; expected one of {', '.join(CHECKS)}")
     selected = [only] if only is not None else list(CHECKS)
+    accepted = {cid: set(inspect.signature(CHECKS[cid][0]).parameters) for cid in selected}
+    for key in params:
+        if not any(key in names for names in accepted.values()):
+            scope = f"check {only!r} does not accept" if only is not None else "no check accepts"
+            raise ValueError(f"{scope} parameter {key!r}")
     reports = []
     for check_id in selected:
         fn, kwargs = CHECKS[check_id]
-        kwargs = dict(kwargs)
-        accepted = set(inspect.signature(fn).parameters)
-        for key, value in params.items():
-            if key in accepted:
-                kwargs[key] = value
-            elif only is not None:
-                raise ValueError(f"check {check_id!r} does not accept parameter {key!r}")
+        kwargs = {**kwargs, **{k: v for k, v in params.items() if k in accepted[check_id]}}
         started = time.perf_counter()
         report = fn(**kwargs)
         report.elapsed = round(time.perf_counter() - started, 6)

@@ -1,6 +1,6 @@
 import json
 
-from revpat import engine
+from revpat import engine, verify
 from revpat.cli import run
 from revpat.engine import BacktrackReport
 
@@ -56,6 +56,15 @@ def test_generate_env_cache(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "alternating-6.txt").exists()
 
 
+def test_generate_has_no_lookahead_flag(tmp_path, capsys):
+    assert run(["generate", "thue-morse", "--length", "8", "--lookahead", "5",
+                "--cache", str(tmp_path)]) == 2
+    assert run(["--json", "generate", "square-limited", "--length", "12",
+                "--cache", str(tmp_path)]) == 0
+    assert json.loads(_out(capsys)) == {"sequence": "square-limited", "length": 12,
+                                        "lookahead": 100, "word": "000101100011"}
+
+
 def test_generate_rejects_unknown_sequence(capsys):
     assert run(["--json", "generate", "bogus", "--length", "5"]) == 2
     assert "error" in json.loads(_out(capsys))
@@ -78,6 +87,14 @@ def test_verify_single_check(capsys):
     assert run(["--json", "verify", "--only", "pigeonhole", "--params", "k=1"]) == 0
     reports = json.loads(_out(capsys))
     assert reports[0]["parameters"]["k"] == 1 and reports[0]["passed"]
+
+
+def test_verify_rejects_a_parameter_no_check_accepts(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", {"pigeonhole": verify.CHECKS["pigeonhole"]})
+    assert run(["verify", "--params", "kk=3"]) == 2
+    assert "'kk'" in capsys.readouterr().err
+    assert run(["--json", "verify", "--params", "k=3"]) == 0
+    assert json.loads(_out(capsys))[0]["parameters"]["k"] == 3
 
 
 def test_verify_failure_exits_one(capsys):

@@ -88,6 +88,17 @@ def test_non_ascii_words_are_rejected():
         avoids("\u0663\u0664\u0663", "xyx")
 
 
+def test_words_must_be_digit_strings():
+    with pytest.raises(ValueError, match="'a' at position 0"):
+        find_instance("abab", "xx")
+    with pytest.raises(ValueError, match="'a' at position 1"):
+        avoids("0a0a", "xx")
+    with pytest.raises(ValueError, match="'x' at position 2"):
+        find_instance_bounded("01x", "x", 1, 1)
+    with pytest.raises(ValueError, match="position 1"):
+        avoids("0 1", "yY")  # a y-only pattern is matched through its x form
+
+
 def test_y_only_patterns_report_y_assignments():
     w = find_instance("00", "yy")
     assert w == InstanceWitness(0, None, "0")

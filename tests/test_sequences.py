@@ -11,6 +11,7 @@ from revpat.sequences import (
     F3,
     F4,
     H,
+    MORPHISMS,
     alternating_prefix,
     apply_binary_morphism,
     bispecial_factors,
@@ -56,6 +57,19 @@ def test_morphism_constants():
     assert (len(F2[1]), len(F3[1]), len(F4[1])) == (8, 6, 10)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="01", max_size=40))
+def test_binary_morphism_is_the_letterwise_image(w):
+    for m in MORPHISMS.values():
+        assert apply_binary_morphism(m, w) == "".join(m[int(c)] for c in w)
+
+
+def test_binary_morphism_rejects_non_binary_letters():
+    for w in ("0120", "2", "01a", "0\u0661"):
+        with pytest.raises(ValueError, match="not binary"):
+            apply_binary_morphism(F1, w)
+
+
 def _allowed_squares_only(w):
     for h in range(2, len(w) // 2 + 1):
         for i in range(len(w) - 2 * h + 1):
@@ -67,18 +81,22 @@ def _allowed_squares_only(w):
 def test_square_limited_matches_exhaustive_enumeration():
     # lexicographic enumeration: the first word with only allowed squares is
     # the minimum, independently of the generator's backtracking
-    lookahead = 6
-    length = 12 + lookahead
-    least = None
-    for tup in product("01", repeat=length):
-        w = "".join(tup)
-        if _allowed_squares_only(w):
-            least = w
-            break
-    assert least is not None
-    assert square_limited_prefix(12, lookahead=lookahead) == least[:12]
+    least = next(w for w in map("".join, product("01", repeat=18)) if _allowed_squares_only(w))
+    word = bytearray()
+    seq._extend_square_limited(word, 18, 0)
+    assert word.decode() == least
     assert square_limited_prefix(12) == least[:12]
     assert least[:12] == "000101100011"
+
+
+def test_square_limited_extension_never_revises_the_emitted_floor():
+    # both 011010 and 011011 end in a forbidden square, so extending 01101
+    # means revising its third letter
+    with pytest.raises(RuntimeError, match="emitted prefix"):
+        seq._extend_square_limited(bytearray(b"01101"), 6, 5)
+    word = bytearray(b"01101")
+    seq._extend_square_limited(word, 6, 0)
+    assert len(word) == 6 and word[:3] == b"011" and _allowed_squares_only(word.decode())
 
 
 def test_square_limited_square_inventory():
@@ -88,20 +106,22 @@ def test_square_limited_square_inventory():
     assert "1010" not in w
 
 
-def test_square_limited_prefix_stability_and_restart_equivalence():
-    seq._sl_state.clear()
+def test_square_limited_prefix_stability_and_restart_equivalence(monkeypatch):
+    monkeypatch.setattr(seq, "_sl_word", bytearray())
+    monkeypatch.setattr(seq, "_sl_emitted", 0)
     first = square_limited_prefix(60)
     longer = square_limited_prefix(700)
     assert longer[:60] == first
-    seq._sl_state.clear()
+    assert seq._sl_emitted == 700
+    assert len(seq._sl_word) == 700 + seq.DEFAULT_LOOKAHEAD
+    monkeypatch.setattr(seq, "_sl_word", bytearray())
+    monkeypatch.setattr(seq, "_sl_emitted", 0)
     assert square_limited_prefix(700) == longer
 
 
 def test_square_limited_rejects_bad_arguments():
     with pytest.raises(ValueError):
         square_limited_prefix(-1)
-    with pytest.raises(ValueError):
-        square_limited_prefix(5, lookahead=0)
 
 
 def test_g_from_examples():
@@ -222,7 +242,7 @@ def test_sequence_prefix_definitional_identities():
 
 def test_sequence_prefix_cache_round_trip(tmp_path):
     word = sequence_prefix("square-limited", 50, cache_dir=str(tmp_path))
-    path = tmp_path / "square-limited-50-la100.txt"
+    path = tmp_path / "square-limited-50.txt"
     assert path.read_text() == word + "\n"
     # a second call must come back from disk byte-identical
     assert sequence_prefix("square-limited", 50, cache_dir=str(tmp_path)) == word
@@ -233,7 +253,7 @@ def test_sequence_prefix_cache_round_trip(tmp_path):
 @pytest.mark.parametrize("seq_id, name, stored", [
     ("thue-morse", "thue-morse-32.txt", "0110100110010110"),  # truncated
     ("w2", "w2-32.txt", "0" * 31 + "2"),  # a letter outside {0, 1}
-    ("g-ternary", "g-ternary-32-la100.txt", "3" * 32),  # outside {0, 1, 2}
+    ("g-ternary", "g-ternary-32.txt", "3" * 32),  # outside {0, 1, 2}
 ], ids=["truncated", "binary-holds-2", "ternary-holds-3"])
 def test_sequence_prefix_regenerates_a_bad_cache_file(tmp_path, seq_id, name, stored):
     want = sequence_prefix(seq_id, 32)

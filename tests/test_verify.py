@@ -47,11 +47,19 @@ def test_registry_covers_the_finite_searches():
     assert set(CHECKS) == expected
 
 
-def test_run_checks_validation():
+def test_run_checks_validation(monkeypatch):
     with pytest.raises(ValueError, match="unknown check"):
         run_checks(only="nope")
     with pytest.raises(ValueError, match="does not accept"):
         run_checks(only="pigeonhole", params={"bogus": 1})
+    # across the registry too, a parameter no check accepts is an error
+    monkeypatch.setattr(verify, "CHECKS", {"pigeonhole": CHECKS["pigeonhole"]})
+    with pytest.raises(ValueError, match="'kk'"):
+        run_checks(params={"kk": 3})
+    with pytest.raises(ValueError, match="'lookahead'"):
+        run_checks(params={"lookahead": 50})
+    [report] = run_checks(params={"k": 3})
+    assert report.parameters["k"] == 3
 
 
 def test_reports_are_deterministic_and_json_clean():
@@ -98,6 +106,9 @@ def test_square_limited_check_passes_and_negative_controls():
     small = vf_square_limited(word="0101")
     assert not small.passed
     assert small.counterexample == {"missing_squares": ["00", "11"]}
+    # 1010 is a square outside {00, 11, 0101}, so the inventory reports it
+    assert vf_square_limited(word="001010").counterexample == {"square": "1010"}
+    assert vf_square_limited(300).parameters["lookahead"] == 100
 
 
 def test_mod3_and_w2_negative_controls():
