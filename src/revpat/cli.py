@@ -68,16 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_params(pairs: list[str]) -> dict:
-    out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"parameter {pair!r} is not of the form key=value")
-        key, value = pair.split("=", 1)
-        try:
-            out[key] = int(value)
-        except ValueError:
-            out[key] = value
-    return out
+    return dict(pair.split("=", 1) for pair in pairs)
 
 
 def _emit(payload: dict, as_json: bool, human: str) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import tempfile
 from functools import lru_cache
+from itertools import accumulate
 
 # Binary morphisms as (image of 0, image of 1).
 H = ("01", "10")
@@ -64,6 +65,18 @@ def thue_morse_prefix(n: int) -> str:
     while len(_tm_cache) < n:
         _tm_cache = apply_binary_morphism(H, _tm_cache)
     return _tm_cache[:n]
+
+
+def tm_image(m: tuple[str, str], n: int) -> tuple[str, str, list[int]]:
+    """The length-n Thue-Morse prefix tau, its image under m, and offsets.
+
+    ``at[i]`` is where the image of ``tau[i]`` starts and ``at[n]`` is the
+    image's length, so, m being a morphism, the image of ``tau[i:j]`` is
+    ``image[at[i]:at[j]]``.
+    """
+    tau = thue_morse_prefix(n)
+    at = list(accumulate((len(m[int(c)]) for c in tau), initial=0))
+    return tau, apply_binary_morphism(m, tau), at
 
 
 def alternating_prefix(n: int) -> str:
@@ -211,12 +224,10 @@ def contains_overlap(w: str) -> str | None:
 @lru_cache(maxsize=32)
 def tm_factor_images(m: tuple[str, str], max_factor_len: int) -> frozenset[str]:
     """Images under m of all Thue-Morse factors of length 1..max_factor_len."""
-    tau = thue_morse_prefix(covering_prefix_length(max_factor_len))
-    images = set()
-    for length in range(1, max_factor_len + 1):
-        for v in factor_set(tau, length):
-            images.add(apply_binary_morphism(m, v))
-    return frozenset(images)
+    tau, image, at = tm_image(m, covering_prefix_length(max_factor_len))
+    return frozenset({image[at[i]:at[i + length]]
+                      for length in range(1, max_factor_len + 1)
+                      for i in range(len(tau) - length + 1)})
 
 
 @lru_cache(maxsize=32)

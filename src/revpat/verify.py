@@ -8,8 +8,9 @@ thin wrapper around it.
 
 Prefix lengths for the w1..w4 checks are derived at run time from
 ``bound_factor_length`` and the Thue-Morse covering arithmetic rather than
-hardcoded; where a specific derived value is load-bearing (56, 112) the
-report asserts it as a regression guard.
+hardcoded; where a specific derived value is load-bearing (56, 112) a
+different value fails the report with a counterexample naming what was
+derived.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .sequences import (
     H,
     MORPHISMS,
     alternating_prefix,
-    apply_binary_morphism,
     bispecial_factors,
     collect_squares,
     contains_overlap,
@@ -51,6 +51,7 @@ from .sequences import (
     square_limited_prefix,
     thue_morse_prefix,
     tm_factor_images,
+    tm_image,
 )
 
 # Binary words z of length 1..6 that may occur in w3 together with their
@@ -99,11 +100,10 @@ def bound_factor_length(u_len: int, image1_len: int) -> int:
     return 2 * (u_len + 3 * image1_len - 3) // (image1_len + 1)
 
 
-def _image_window(m: tuple[str, str], factor_len: int) -> tuple[int, str]:
-    """Thue-Morse prefix length whose m-image contains every m(t)-factor of
-    the given length, and that image itself."""
-    prefix_len = covering_prefix_length(bound_factor_length(factor_len, len(m[1])))
-    return prefix_len, apply_binary_morphism(m, thue_morse_prefix(prefix_len))
+def _image_window(m: tuple[str, str], factor_len: int) -> tuple[str, str, list[int]]:
+    """``tm_image`` of the Thue-Morse prefix whose m-image contains every
+    m(t)-factor of the given length."""
+    return tm_image(m, covering_prefix_length(bound_factor_length(factor_len, len(m[1]))))
 
 
 def _bounded_hit(w: str, p: str, max_x: int, max_y: int) -> dict | None:
@@ -197,12 +197,12 @@ def vf_square_limited_xyxyX(n: int = 400) -> VerificationReport:
 def vf_w1() -> VerificationReport:
     """w1 = f1(t) avoids xyxYX: no reversible length-7 factor, no short instance."""
     rev_bound = bound_factor_length(7, len(F1[1]))
-    len56, img56 = _image_window(F1, 7)
+    tau56, img56, _ = _image_window(F1, 7)
     inst_bound = bound_factor_length(3 * 6 + 2 * 6, len(F1[1]))
-    len112, img112 = _image_window(F1, 3 * 6 + 2 * 6)
+    tau112, img112, _ = _image_window(F1, 3 * 6 + 2 * 6)
     counter = None
-    if not (rev_bound < 7 and inst_bound == 10 and len56 == 56 and len112 == 112):
-        counter = {"derived": [rev_bound, inst_bound, len56, len112]}
+    if not (rev_bound < 7 and inst_bound == 10 and len(tau56) == 56 and len(tau112) == 112):
+        counter = {"derived": [rev_bound, inst_bound, len(tau56), len(tau112)]}
     if counter is None:
         rev = reversible_factors(img56, 7)
         if rev:
@@ -216,17 +216,17 @@ def vf_w1() -> VerificationReport:
         parameters={"reversible_length": 7, "max_x": 6, "max_y": 6},
         passed=counter is None,
         counterexample=counter,
-        searched_bound={"tm_prefix_reversible": len56, "tm_prefix_instances": len112,
+        searched_bound={"tm_prefix_reversible": len(tau56), "tm_prefix_instances": len(tau112),
                         "factor_bounds": [rev_bound, inst_bound]},
     )
 
 
 def vf_w2() -> VerificationReport:
     """w2 = f2(t) avoids xyXYx."""
-    len112, img = _image_window(F2, 3 * 6 + 2 * 6)
+    tau, img, _ = _image_window(F2, 3 * 6 + 2 * 6)
     counter = None
-    if len112 != 112:
-        counter = {"derived_prefix": len112}
+    if len(tau) != 112:
+        counter = {"derived_prefix": len(tau)}
     elif len(img) != 504:
         counter = {"image_length": len(img)}
     else:
@@ -238,7 +238,7 @@ def vf_w2() -> VerificationReport:
         parameters={"max_x": 6, "max_y": 6},
         passed=counter is None,
         counterexample=counter,
-        searched_bound={"tm_prefix": len112, "image_length": len(img)},
+        searched_bound={"tm_prefix": len(tau), "image_length": len(img)},
     )
 
 
@@ -262,15 +262,13 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
     are non-empty for y = 000.  The repaired decomposition that the avoidance
     theorem actually needs is checked by vf_w3_contexts_repaired.
     """
-    img1 = len(F3[1])
-    lengths = {
-        "reversible": covering_prefix_length(bound_factor_length(6, img1)),
-        "contexts": covering_prefix_length(bound_factor_length(9, img1)),
-        "instances": covering_prefix_length(bound_factor_length(3 * 8 + 2 * 2, img1)),
-        "completions": covering_prefix_length(bound_factor_length(completion_len, img1)),
+    windows = {
+        "reversible": _image_window(F3, 6),
+        "contexts": _image_window(F3, 9),
+        "instances": _image_window(F3, 3 * 8 + 2 * 2),
+        "completions": _image_window(F3, completion_len),
     }
-    prefix_len = max(lengths.values())
-    w = apply_binary_morphism(F3, thue_morse_prefix(prefix_len))
+    tau, w, _ = max(windows.values(), key=lambda window: len(window[0]))
     clauses: dict[str, bool] = {}
     details: dict[str, object] = {}
 
@@ -306,11 +304,9 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
 
     # (e) factors ending in 11 have exactly one left completion
     completion_failures = {}
-    seen = set()
     for length in range(2, completion_len + 1):
         for u in sorted(factor_set(w, length)):
-            if u.endswith("11") and u not in seen:
-                seen.add(u)
+            if u.endswith("11"):
                 found = left_completions(u, F3, completion_factor_bound)
                 if len(found) != 1:
                     completion_failures[u] = found
@@ -329,7 +325,8 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
                     "completion_factor_bound": completion_factor_bound},
         passed=not failed,
         counterexample={"clauses": failed, "details": details} if failed else None,
-        searched_bound={"tm_prefix": prefix_len, "per_clause": lengths,
+        searched_bound={"tm_prefix": len(tau),
+                        "per_clause": {clause: len(t) for clause, (t, _, _) in windows.items()},
                         "image_length": len(w), "clause_results": clauses},
     )
 
@@ -344,8 +341,7 @@ def vf_w3_contexts_repaired() -> VerificationReport:
     completion machinery for |X| >= 9 this is what the avoidance proof
     consumes.
     """
-    prefix_len = covering_prefix_length(bound_factor_length(3 * 8 + 2 * 6, len(F3[1])))
-    w = apply_binary_morphism(F3, thue_morse_prefix(prefix_len))
+    tau, w, _ = _image_window(F3, 3 * 8 + 2 * 6)
     counter = None
     for y in sorted(UPSILON - {"0", "1", "00"}, key=lambda s: (len(s), s)):
         if y == y[::-1]:
@@ -364,18 +360,8 @@ def vf_w3_contexts_repaired() -> VerificationReport:
         parameters={"max_x": 8, "max_y": 6},
         passed=counter is None,
         counterexample=counter,
-        searched_bound={"tm_prefix": prefix_len, "image_length": len(w)},
+        searched_bound={"tm_prefix": len(tau), "image_length": len(w)},
     )
-
-
-def _image_blocks(tau: str, m: tuple[str, str]) -> list[tuple[int, str]]:
-    """(start offset, source letter) for each image block of m over tau."""
-    blocks = []
-    pos = 0
-    for c in tau:
-        blocks.append((pos, c))
-        pos += len(m[1]) if c == "1" else len(m[0])
-    return blocks
 
 
 def internal_factors(w: str, min_len: int) -> set[str]:
@@ -385,13 +371,9 @@ def internal_factors(w: str, min_len: int) -> set[str]:
 
 def vf_w4() -> VerificationReport:
     """The finite searches behind: w4 = f4(t) avoids xyXyx."""
-    img1 = F4[1]
-    rev_prefix = covering_prefix_length(bound_factor_length(21, len(img1)))
-    inst_prefix = covering_prefix_length(bound_factor_length(3 * 20 + 2 * 5, len(img1)))
-    bis_prefix = covering_prefix_length(bound_factor_length(26, len(img1)))
-    prefix_len = max(rev_prefix, inst_prefix, bis_prefix)
-    tau = thue_morse_prefix(prefix_len)
-    w = apply_binary_morphism(F4, tau)
+    windows = [_image_window(F4, 21), _image_window(F4, 3 * 20 + 2 * 5), _image_window(F4, 26)]
+    rev_prefix, inst_prefix, bis_prefix = (len(tau) for tau, _, _ in windows)
+    tau, w, at = max(windows, key=lambda window: len(window[0]))
     counter = None
 
     if not (rev_prefix == 56 and inst_prefix == 112 and len(w) == 616):
@@ -411,8 +393,7 @@ def vf_w4() -> VerificationReport:
 
     # (c) every 011 ends an image block of 1
     if counter is None:
-        blocks = _image_blocks(tau, F4)
-        one_ends = {start + len(img1) for start, c in blocks if c == "1"}
+        one_ends = {at[i + 1] for i, c in enumerate(tau) if c == "1"}
         i = w.find("011")
         while i != -1:
             if i + 3 not in one_ends:
@@ -424,11 +405,11 @@ def vf_w4() -> VerificationReport:
     # only inside image blocks of 1
     if counter is None:
         expected = {"000010", "000100", "001001", "0000100", "0001001", "00001001"}
-        got = internal_factors(img1, 6)
+        got = internal_factors(F4[1], 6)
         if got != expected:
             counter = {"clause": "internal", "got": sorted(got)}
     if counter is None:
-        one_spans = [(start, start + len(img1)) for start, c in blocks if c == "1"]
+        one_spans = [(at[i], at[i + 1]) for i, c in enumerate(tau) if c == "1"]
         for u in sorted(expected):
             i = w.find(u)
             while i != -1:
@@ -456,7 +437,7 @@ def vf_w4() -> VerificationReport:
         parameters={"max_x": 20, "max_y": 5, "bispecial_range": [6, 24]},
         passed=counter is None,
         counterexample=counter,
-        searched_bound={"tm_prefix": prefix_len,
+        searched_bound={"tm_prefix": len(tau),
                         "per_clause": {"reversible": rev_prefix, "instances": inst_prefix,
                                        "bispecial": bis_prefix}},
     )
@@ -625,14 +606,14 @@ def vf_image_locality(morphism: str = "f1", max_len: int = 30) -> VerificationRe
     if morphism not in MORPHISMS or morphism == "h":
         raise ValueError("image locality applies to f1, f2, f3 or f4")
     m = MORPHISMS[morphism]
-    prefix_len, img = _image_window(m, max_len)
+    tau, img, _ = _image_window(m, max_len)
     counter = None
     checked = 0
     for length in range(1, max_len + 1):
         bound = bound_factor_length(length, len(m[1]))
-        sources = factor_set(thue_morse_prefix(covering_prefix_length(bound)), bound) \
-            if bound else set()
-        images = [apply_binary_morphism(m, v) for v in sorted(sources)]
+        # the images of the Thue-Morse factors of length bound
+        src_tau, src, at = _image_window(m, length)
+        images = {src[at[i]:at[i + bound]] for i in range(len(src_tau) - bound + 1)}
         for u in sorted(factor_set(img, length)):
             checked += 1
             if not any(u in s for s in images):
@@ -647,7 +628,7 @@ def vf_image_locality(morphism: str = "f1", max_len: int = 30) -> VerificationRe
         parameters={"morphism": morphism, "max_len": max_len},
         passed=counter is None,
         counterexample=counter,
-        searched_bound={"image_prefix": prefix_len, "factors_checked": checked},
+        searched_bound={"image_prefix": len(tau), "factors_checked": checked},
     )
 
 
@@ -682,13 +663,11 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
     counter = None
     for length in range(1, prefix_len + 1, 2):
         half = (length + 1) // 2
-        sources = factor_set(thue_morse_prefix(covering_prefix_length(half)), half)
-        trimmed = set()
-        for v in sources:
-            image = apply_binary_morphism(H, v)
-            trimmed.add(image[:-1])
-            trimmed.add(image[1:])
-        stray = factor_set(host, length) - trimmed
+        # h doubles every letter, so the words h(v) less one letter at either
+        # end, over the factors v of tau of half letters, are exactly the
+        # factors of h(tau) of this odd length
+        image = tm_image(H, covering_prefix_length(half))[1]
+        stray = {u for u in factor_set(host, length) if u not in image}
         if stray:
             counter = {"length": length, "factor": sorted(stray)[0]}
             break
@@ -727,11 +706,23 @@ CHECKS: dict[str, tuple] = {
 }
 
 
+def _typed(key: str, value: object, default: object) -> object:
+    """A string value for a parameter whose default is an int, as an int."""
+    if isinstance(value, str) and isinstance(default, int):
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"parameter {key!r} expects an integer, got {value!r}") from None
+    return value
+
+
 def run_checks(only: str | None = None, params: dict | None = None) -> list[VerificationReport]:
     """Run one named check or the whole registry, in registry order.
 
-    Each selected check receives just the parameters its signature accepts;
-    a parameter that no selected check accepts is an error.  This is the one
+    Each selected check receives just the parameters its signature accepts,
+    a string value (as the CLI passes) converted by ``int()`` where the
+    parameter's default is an int; a parameter that no selected check accepts,
+    or a string there that ``int()`` rejects, is an error.  This is the one
     place a check is timed: each report's ``elapsed`` is set here, in seconds
     rounded to six digits.
     """
@@ -741,15 +732,17 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
     if only is not None and only not in CHECKS:
         raise ValueError(f"unknown check id {only!r}; expected one of {', '.join(CHECKS)}")
     selected = [only] if only is not None else list(CHECKS)
-    accepted = {cid: set(inspect.signature(CHECKS[cid][0]).parameters) for cid in selected}
+    accepted = {cid: inspect.signature(CHECKS[cid][0]).parameters for cid in selected}
     for key in params:
         if not any(key in names for names in accepted.values()):
             scope = f"check {only!r} does not accept" if only is not None else "no check accepts"
             raise ValueError(f"{scope} parameter {key!r}")
+    overrides = {cid: {k: _typed(k, v, names[k].default) for k, v in params.items() if k in names}
+                 for cid, names in accepted.items()}
     reports = []
     for check_id in selected:
         fn, kwargs = CHECKS[check_id]
-        kwargs = {**kwargs, **{k: v for k, v in params.items() if k in accepted[check_id]}}
+        kwargs = {**kwargs, **overrides[check_id]}
         started = time.perf_counter()
         report = fn(**kwargs)
         report.elapsed = round(time.perf_counter() - started, 6)

@@ -97,6 +97,18 @@ def test_verify_rejects_a_parameter_no_check_accepts(capsys, monkeypatch):
     assert json.loads(_out(capsys))[0]["parameters"]["k"] == 3
 
 
+def test_verify_params_take_their_parameter_type(capsys):
+    assert run(["verify", "--only", "g-avoidance", "--params", "n=abc"]) == 2
+    assert "'abc'" in capsys.readouterr().err
+    assert run(["--json", "verify", "--only", "pigeonhole", "--params", "k=two"]) == 2
+    assert "error" in json.loads(_out(capsys))
+    # every word is a digit string, and reaches the check as one
+    assert run(["--json", "verify", "--only", "square-limited", "--params", "word=0011"]) == 1
+    [report] = json.loads(_out(capsys))
+    assert report["parameters"]["injected"] is True and report["parameters"]["n"] == 4
+    assert report["counterexample"] == {"missing_squares": ["0101"]}
+
+
 def test_verify_failure_exits_one(capsys):
     assert run(["verify", "--only", "w3"]) == 1
     assert _out(capsys).startswith("FAIL w3")

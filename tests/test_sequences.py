@@ -25,6 +25,8 @@ from revpat.sequences import (
     sequence_prefix,
     square_limited_prefix,
     thue_morse_prefix,
+    tm_factor_images,
+    tm_image,
 )
 
 
@@ -228,6 +230,36 @@ def test_covering_prefix_length_values():
     assert covering_prefix_length(9) == 56
     assert covering_prefix_length(10) == 112
     assert covering_prefix_length(17) == 112
+
+
+def test_tm_image_offsets_cut_out_every_factor_image():
+    for m in MORPHISMS.values():
+        tau, image, at = tm_image(m, 56)
+        assert tau == thue_morse_prefix(56)
+        assert at[-1] == len(image)
+        for i in range(57):
+            for j in range(i, 57):
+                assert image[at[i]:at[j]] == apply_binary_morphism(m, tau[i:j])
+
+
+def test_tm_factor_images_match_the_per_factor_images():
+    tau = thue_morse_prefix(covering_prefix_length(12))
+    for m in (F1, F2, F3, F4, H):
+        for max_len in range(1, 13):
+            expected = {apply_binary_morphism(m, v)
+                        for length in range(1, max_len + 1) for v in factor_set(tau, length)}
+            assert tm_factor_images(m, max_len) == expected
+
+
+def test_trimmed_h_images_are_the_odd_factors_of_h_tau():
+    # the identity vf_tm_desubstitution rests on
+    for half in range(1, 65):
+        tau = thue_morse_prefix(covering_prefix_length(half))
+        trimmed = set()
+        for v in factor_set(tau, half):
+            image = apply_binary_morphism(H, v)
+            trimmed |= {image[:-1], image[1:]}
+        assert trimmed == factor_set(apply_binary_morphism(H, tau), 2 * half - 1)
 
 
 def test_sequence_prefix_definitional_identities():

@@ -16,6 +16,7 @@ from revpat.verify import (
     run_checks,
     vf_pigeonhole,
     vf_square_limited,
+    vf_tm_desubstitution,
     vf_w3,
     vf_w3_contexts_repaired,
 )
@@ -60,6 +61,11 @@ def test_run_checks_validation(monkeypatch):
         run_checks(params={"lookahead": 50})
     [report] = run_checks(params={"k": 3})
     assert report.parameters["k"] == 3
+    # a string value takes the type of the parameter it sets
+    [report] = run_checks(params={"k": "3"})
+    assert report.parameters["k"] == 3
+    with pytest.raises(ValueError, match="'k'.*'two'"):
+        run_checks(params={"k": "two"})
 
 
 def test_reports_are_deterministic_and_json_clean():
@@ -182,6 +188,19 @@ def test_w3_pins_the_degenerate_context_clause():
         assert chi + "000" in w
     for chi in sets["right"]:
         assert "000" + chi in w
+
+
+def test_tm_desubstitution_negative_control(monkeypatch):
+    def corrupted(n):
+        t = thue_morse_prefix(n)
+        return t[:300] + "10"[int(t[300])] + t[301:] if n == 512 else t
+
+    monkeypatch.setattr(verify, "thue_morse_prefix", corrupted)
+    report = vf_tm_desubstitution()
+    assert not report.passed
+    assert set(report.counterexample) == {"length", "factor"}
+    factor = report.counterexample["factor"]
+    assert factor in corrupted(512) and factor not in thue_morse_prefix(4096)
 
 
 def test_w3_repaired_contexts_pass():
