@@ -23,6 +23,14 @@ for check_id in quick:
     print(f"{status} {report.check_id:22s} ({report.elapsed:6.2f}s)  {report.claim[:68]}...")
 
 print()
+oracle = run_checks(only="classifier-oracle")[0]
+bound = oracle.searched_bound
+print(f"{'PASS' if oracle.passed else 'FAIL'} classifier-oracle: {bound['patterns_checked']} "
+      f"patterns, {bound['classes_searched']} classes, {bound['prove_nodes']} prover nodes.")
+print("Each witness names the search that supplied it; xxyx over three letters")
+print(f"borrows a square-free word from its factor {bound['witness_factors']['xxyx']}.")
+
+print()
 print("A failing report carries a replayable counterexample:")
 report = run_checks(only="w3")[0]
 print(json.dumps({"check_id": report.check_id,

@@ -3,7 +3,7 @@
 Commands: classify, canon, class, graph, generate, search, verify.  The
 --json flag switches every command, including error paths, to JSON on
 stdout.  Exit status: 0 on success, 1 when a verification report fails,
-2 on usage errors.
+2 on usage errors, 3 when a search spends its node budget undecided.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.add_argument("--alphabet", type=int, required=True, metavar="K")
     p.add_argument("--target-length", type=int, required=True, metavar="N")
+    p.add_argument("--max-nodes", type=int, default=None, metavar="N",
+                   help="node budget; a search that spends it is inconclusive (exit 3)")
 
     p = sub.add_parser("verify", parents=[common], help="run the verification suite")
     p.add_argument("--only", default=None, metavar="ID",
@@ -157,8 +159,16 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
             raise ValueError("search needs a non-empty pattern")
         if args.target_length < 1:
             raise ValueError("--target-length must be positive")
-        report = engine.prove_k_unavoidable(p, args.alphabet, args.target_length)
+        report = engine.prove_k_unavoidable(p, args.alphabet, args.target_length,
+                                            args.max_nodes)
         payload = report.as_dict()
+        if report.inconclusive:
+            payload["outcome"] = "inconclusive"
+            _emit(payload, as_json,
+                  f"inconclusive: node budget of {args.max_nodes} spent; longest word over "
+                  f"{args.alphabet} letters avoiding {p} so far has length "
+                  f"{report.longest_word_length}")
+            return 3
         if report.terminated:
             payload["outcome"] = "exhausted"
             human = (f"exhausted at depth {report.longest_word_length}: longest word over "

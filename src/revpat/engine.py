@@ -102,9 +102,10 @@ class BacktrackReport:
     """Outcome of one depth-first search of the avoiding-word tree.
 
     ``terminated`` means the whole tree was exhausted below the depth limit,
-    certifying that no avoiding word of that length exists; otherwise some
-    branch reached the limit and ``longest_word`` is an avoiding word of
-    exactly that length.
+    certifying that no avoiding word of that length exists.  Otherwise either
+    some branch reached the limit and ``longest_word`` is an avoiding word of
+    exactly that length, or ``inconclusive`` is set: the node budget ran out
+    first, and ``longest_word`` is only the longest avoiding word seen so far.
     """
 
     pattern: str
@@ -114,13 +115,15 @@ class BacktrackReport:
     nodes_visited: int
     longest_word_length: int
     longest_word: str
+    inconclusive: bool = False
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-# Each factory names one shape of end check (the perfbench harness reads the
-# shape back from a checker's __qualname__); all five run the same kernel.
+# Each factory names one kind of end check; the perfbench harness reads a
+# checker's shape back from its __qualname__ and the per-node flag, so four
+# factories cover five shapes.  All four run the same kernel.
 
 def _pure_end_check(plan: tuple):
     """The pattern uses only x and X slots."""
@@ -176,12 +179,15 @@ def _compile_end_checker(p: str):
     return per_node, factory(_plan(anchored)), anchored
 
 
-def prove_k_unavoidable(p: str, k: int, depth_limit: int) -> BacktrackReport:
+def prove_k_unavoidable(p: str, k: int, depth_limit: int,
+                        max_nodes: int | None = None) -> BacktrackReport:
     """Exhaust the tree of words over a k-letter alphabet avoiding p.
 
     Children are tried in letter order, and the first letter is fixed to 0:
     avoidance is invariant under alphabet permutations.  Node words are kept
     reversed, so that every end check runs the slot kernel at their start.
+    With a ``max_nodes`` budget the search visits at most that many nodes;
+    a search that would need more returns an ``inconclusive`` report.
     """
     if not p:
         raise ValueError("the empty pattern has no instances; classify it directly")
@@ -189,9 +195,12 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int) -> BacktrackReport:
         raise ValueError(f"alphabet size must be between 1 and 4, got {k}")
     if depth_limit < 1:
         raise ValueError("depth limit must be at least 1")
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"node budget must be at least 1, got {max_nodes}")
 
     per_node, check, _ = _compile_end_checker(p)
     letters = [str(c).encode() for c in range(k)]
+    budget = -1 if max_nodes is None else max_nodes
 
     longest = ""
     nodes = 0
@@ -204,6 +213,9 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int) -> BacktrackReport:
             stack.pop()
             rwords.pop()
             continue
+        if nodes == budget:
+            return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest,
+                                   inconclusive=True)
         stack[-1] += 1
         nodes += 1
         rword = letters[idx] + rwords[-1]

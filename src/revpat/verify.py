@@ -21,6 +21,7 @@ from itertools import product
 
 from .engine import (
     Avoidability,
+    BacktrackReport,
     SEED_PARTITION,
     bipartite_check,
     classify,
@@ -29,7 +30,7 @@ from .engine import (
     prove_k_unavoidable,
 )
 from .matcher import avoids, find_instance, find_instance_bounded
-from .patterns import canonical
+from .patterns import canonical, factors, pattern_key
 from .sequences import (
     ALLOWED_SQUARES,
     DEFAULT_LOOKAHEAD,
@@ -475,8 +476,6 @@ def vf_pigeonhole(k: int = 2) -> VerificationReport:
 
 def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
     """Graph bipartiteness coincides with having an instance in 0101..."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     counter = None
     checked = 0
     for length in range(2, max_len + 1):
@@ -505,16 +504,68 @@ def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
     )
 
 
+def _class_search(c: str, k: int, depth: int,
+                  searches: dict) -> tuple[BacktrackReport, str, dict | None]:
+    """Search for a word of ``depth`` letters over k avoiding the class c.
+
+    A word that avoids a factor of c avoids c.  So the canonical proper
+    factors of c are searched first, shortest first with ties broken by
+    ``pattern_key``, and the first tree that reaches ``depth`` supplies the
+    witness; c itself is searched only when every factor tree is exhausted,
+    so an exhaustion certificate for c is always a search on c.  Returns the
+    deciding report, the pattern it searched and a problem: None, or what
+    went wrong when the matcher refutes the witness for c or the search ran
+    out of budget.  ``searches`` memoises prover reports by (pattern, k).
+    """
+    proper = sorted({canonical(u) for u in factors(c) if len(u) < len(c)},
+                    key=lambda q: (len(q), pattern_key(q)))
+    for q in proper + [c]:
+        if (q, k) not in searches:
+            searches[q, k] = prove_k_unavoidable(q, k, depth)
+        report = searches[q, k]
+        if not report.terminated:
+            if report.inconclusive or not avoids(report.longest_word, c):
+                return report, q, {"alphabet": k, "searched": q, "witness": report.longest_word}
+            return report, q, None
+    return report, c, None
+
+
+def _class_verdict(c: str, avoider_len: int, unavoidable_depth: int, searches: dict,
+                   witness_factors: dict) -> tuple[Avoidability, dict | None]:
+    """The searched avoidability index of the class c, and a problem or None.
+
+    The ternary search runs only once the binary one is exhausted; the
+    pattern that supplied a witness is recorded in ``witness_factors``.
+    """
+    for k, index in ((2, Avoidability.TWO), (3, Avoidability.THREE)):
+        report, source, problem = _class_search(c, k, avoider_len, searches)
+        if not report.terminated:
+            witness_factors[c] = source
+            return index, problem
+    if report.longest_word_length >= unavoidable_depth:
+        return Avoidability.UNAVOIDABLE, {"ternary_longest": report.longest_word_length}
+    return Avoidability.UNAVOIDABLE, None
+
+
 def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
                          unavoidable_depth: int = 60) -> VerificationReport:
     """The closed-form classifier agrees with exhaustive search everywhere.
 
     Searches run once per equivalence class (avoidability is class-invariant);
-    the classifier is still checked against every individual pattern.
+    the classifier is still checked against every individual pattern.  A
+    witness comes from the first canonical proper factor of the class, or
+    else the class itself, whose tree reaches ``avoider_len`` letters, and
+    the matcher re-validates it against the class; the factor is reported in
+    ``witness_factors``.  Every exhaustion certificate, behind "index 3" and
+    "unavoidable", is a terminated search on the class itself.
+    ``prove_nodes`` counts the nodes of every search, factor searches
+    included, each distinct (pattern, alphabet) search once.
     """
     if not 1 <= max_len <= 5:
         raise ValueError("the oracle sweep supports pattern lengths 1..5")
-    cache: dict[str, tuple] = {}
+    searches: dict[tuple[str, int], BacktrackReport] = {}
+    verdicts: dict[str, tuple] = {}
+    witness_factors: dict[str, str] = {}
     counter = None
     checked = 0
     for length in range(1, max_len + 1):
@@ -522,23 +573,14 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
             p = "".join(tup)
             checked += 1
             c = canonical(p)
-            if c not in cache:
-                cache[c] = (prove_k_unavoidable(c, 2, avoider_len),
-                            prove_k_unavoidable(c, 3, avoider_len))
-            r2, r3 = cache[c]
-            if not r2.terminated:
-                searched = Avoidability.TWO
-            elif not r3.terminated:
-                searched = Avoidability.THREE
-            else:
-                searched = Avoidability.UNAVOIDABLE
-            if classify(p) is not searched:
-                counter = {"pattern": p, "classifier": classify(p).value,
-                           "search": searched.value}
-                break
-            if searched is Avoidability.UNAVOIDABLE and \
-                    r3.longest_word_length >= unavoidable_depth:
-                counter = {"pattern": p, "ternary_longest": r3.longest_word_length}
+            if c not in verdicts:
+                verdicts[c] = _class_verdict(c, avoider_len, unavoidable_depth, searches,
+                                             witness_factors)
+            searched, problem = verdicts[c]
+            if problem is None and classify(p) is not searched:
+                problem = {"classifier": classify(p).value, "search": searched.value}
+            if problem is not None:
+                counter = {"pattern": p, **problem}
                 break
         if counter is not None:
             break
@@ -552,7 +594,9 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
                     "unavoidable_depth": unavoidable_depth},
         passed=counter is None,
         counterexample=counter,
-        searched_bound={"patterns_checked": checked, "classes_searched": len(cache)},
+        searched_bound={"patterns_checked": checked, "classes_searched": len(verdicts),
+                        "prove_nodes": sum(r.nodes_visited for r in searches.values()),
+                        "witness_factors": witness_factors},
     )
 
 
@@ -684,25 +728,30 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
 
 # --- registry ---------------------------------------------------------------------
 
+# check id -> (check, fixed parameters, lower bound of each integer
+# parameter); a value below its bound would leave the check with nothing to
+# search (or no defined search), so run_checks rejects it before any check runs.
 CHECKS: dict[str, tuple] = {
-    "square-limited": (vf_square_limited, {}),
-    "g-avoidance": (vf_g_avoidance, {}),
-    "square-limited-xyxyX": (vf_square_limited_xyxyX, {}),
-    "w1": (vf_w1, {}),
-    "w2": (vf_w2, {}),
-    "w3": (vf_w3, {}),
-    "w3-contexts-repaired": (vf_w3_contexts_repaired, {}),
-    "w4": (vf_w4, {}),
-    "pigeonhole": (vf_pigeonhole, {}),
-    "alternating": (vf_alternating_theorem, {}),
-    "classifier-oracle": (vf_classifier_oracle, {}),
-    "classical-seeds": (vf_classical_seed_avoiders, {}),
-    "image-locality-f1": (vf_image_locality, {"morphism": "f1", "max_len": 30}),
-    "image-locality-f2": (vf_image_locality, {"morphism": "f2", "max_len": 30}),
-    "image-locality-f3": (vf_image_locality, {"morphism": "f3", "max_len": 9}),
-    "image-locality-f4": (vf_image_locality, {"morphism": "f4", "max_len": 21}),
-    "tm-prefix-covering": (vf_tm_prefix_covering, {}),
-    "tm-desubstitution": (vf_tm_desubstitution, {}),
+    "square-limited": (vf_square_limited, {}, {"n": 1}),
+    "g-avoidance": (vf_g_avoidance, {}, {"n": 4}),
+    "square-limited-xyxyX": (vf_square_limited_xyxyX, {}, {"n": 5}),
+    "w1": (vf_w1, {}, {}),
+    "w2": (vf_w2, {}, {}),
+    "w3": (vf_w3, {}, {"completion_len": 2, "completion_factor_bound": 1}),
+    "w3-contexts-repaired": (vf_w3_contexts_repaired, {}, {}),
+    "w4": (vf_w4, {}, {}),
+    "pigeonhole": (vf_pigeonhole, {}, {"k": 1}),
+    "alternating": (vf_alternating_theorem, {}, {"max_len": 2}),
+    "classifier-oracle": (vf_classifier_oracle, {},
+                          {"max_len": 1, "avoider_len": 1, "unavoidable_depth": 1}),
+    "classical-seeds": (vf_classical_seed_avoiders, {},
+                        {"witness_len": 1, "matcher_prefix": 1, "overlap_prefix": 1}),
+    "image-locality-f1": (vf_image_locality, {"morphism": "f1", "max_len": 30}, {"max_len": 1}),
+    "image-locality-f2": (vf_image_locality, {"morphism": "f2", "max_len": 30}, {"max_len": 1}),
+    "image-locality-f3": (vf_image_locality, {"morphism": "f3", "max_len": 9}, {"max_len": 1}),
+    "image-locality-f4": (vf_image_locality, {"morphism": "f4", "max_len": 21}, {"max_len": 1}),
+    "tm-prefix-covering": (vf_tm_prefix_covering, {}, {"max_exp": 0, "big_len": 1}),
+    "tm-desubstitution": (vf_tm_desubstitution, {}, {"prefix_len": 1}),
 }
 
 
@@ -722,9 +771,10 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
     Each selected check receives just the parameters its signature accepts,
     a string value (as the CLI passes) converted by ``int()`` where the
     parameter's default is an int; a parameter that no selected check accepts,
-    or a string there that ``int()`` rejects, is an error.  This is the one
-    place a check is timed: each report's ``elapsed`` is set here, in seconds
-    rounded to six digits.
+    a string there that ``int()`` rejects, or a value below the check's
+    declared lower bound for it is an error, raised before any check runs.
+    This is the one place a check is timed: each report's ``elapsed`` is set
+    here, in seconds rounded to six digits.
     """
     import inspect
 
@@ -737,12 +787,18 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
         if not any(key in names for names in accepted.values()):
             scope = f"check {only!r} does not accept" if only is not None else "no check accepts"
             raise ValueError(f"{scope} parameter {key!r}")
-    overrides = {cid: {k: _typed(k, v, names[k].default) for k, v in params.items() if k in names}
-                 for cid, names in accepted.items()}
+    calls = {}
+    for cid, names in accepted.items():
+        fn, fixed, minima = CHECKS[cid]
+        kwargs = {**fixed, **{k: _typed(k, v, names[k].default)
+                              for k, v in params.items() if k in names}}
+        for key, minimum in minima.items():
+            if key in kwargs and kwargs[key] < minimum:
+                raise ValueError(f"check {cid!r} needs parameter {key!r} >= {minimum}, "
+                                 f"got {kwargs[key]!r}")
+        calls[cid] = fn, kwargs
     reports = []
-    for check_id in selected:
-        fn, kwargs = CHECKS[check_id]
-        kwargs = {**kwargs, **overrides[check_id]}
+    for fn, kwargs in calls.values():
         started = time.perf_counter()
         report = fn(**kwargs)
         report.elapsed = round(time.perf_counter() - started, 6)

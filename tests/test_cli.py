@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from revpat import engine, verify
 from revpat.cli import run
@@ -81,6 +84,26 @@ def test_search_witness_and_exhaustion(capsys):
     assert "unavoidable" not in json.dumps(payload)
 
 
+def test_search_with_a_spent_budget_is_inconclusive(capsys):
+    argv = ["search", "xxyx", "--alphabet", "3", "--target-length", "200"]
+    assert run(argv + ["--max-nodes", "1000"]) == 3
+    assert _out(capsys).startswith("inconclusive: node budget of 1000 spent")
+    assert run(["--json"] + argv + ["--max-nodes", "1000"]) == 3
+    payload = json.loads(_out(capsys))
+    assert payload["outcome"] == "inconclusive" and payload["inconclusive"] is True
+    assert payload["terminated"] is False and payload["nodes_visited"] == 1000
+    assert run(argv + ["--max-nodes", "0"]) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "revpat", "classify", "xyxY"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "3")
+
+
 def test_verify_single_check(capsys):
     assert run(["verify", "--only", "pigeonhole"]) == 0
     assert _out(capsys).startswith("PASS pigeonhole")
@@ -102,6 +125,9 @@ def test_verify_params_take_their_parameter_type(capsys):
     assert "'abc'" in capsys.readouterr().err
     assert run(["--json", "verify", "--only", "pigeonhole", "--params", "k=two"]) == 2
     assert "error" in json.loads(_out(capsys))
+    # a value below the check's declared lower bound is a usage error too
+    assert run(["verify", "--only", "alternating", "--params", "max_len=1"]) == 2
+    assert "'max_len' >= 2, got 1" in capsys.readouterr().err
     # every word is a digit string, and reaches the check as one
     assert run(["--json", "verify", "--only", "square-limited", "--params", "word=0011"]) == 1
     [report] = json.loads(_out(capsys))

@@ -173,6 +173,22 @@ def test_prove_node_counts_are_pinned(case):
     assert (r.terminated, r.nodes_visited) == PINNED_NODE_COUNTS[case]
 
 
+def test_node_budget_makes_a_search_inconclusive():
+    full = prove_k_unavoidable("xxyx", 3, 40)
+    assert prove_k_unavoidable("xxyx", 3, 40, max_nodes=None) == full
+    # a budget the search does not need changes nothing
+    assert prove_k_unavoidable("xxyx", 3, 40, max_nodes=full.nodes_visited) == full
+    cut = prove_k_unavoidable("xxyx", 3, 40, max_nodes=1000)
+    assert (cut.terminated, cut.inconclusive, cut.nodes_visited) == (False, True, 1000)
+    assert cut.longest_word_length < 40 and avoids(cut.longest_word, "xxyx")
+    # an exhaustion that fits the budget exactly is still a certificate
+    done = prove_k_unavoidable("xyxY", 2, 30)
+    assert prove_k_unavoidable("xyxY", 2, 30, max_nodes=done.nodes_visited) == done
+    assert done.terminated and not done.inconclusive
+    with pytest.raises(ValueError, match="budget"):
+        prove_k_unavoidable("xx", 2, 10, max_nodes=0)
+
+
 def test_pattern_graph_worked_example():
     g = pattern_graph("XxyXXy")
     expected = [("x", "x"), ("X", "y"), ("X", "Y"), ("x", "X"), ("x", "y")]

@@ -1,10 +1,12 @@
+import inspect
 import json
 import random
 
 import pytest
 
-from revpat import verify
+from revpat import engine, verify
 from revpat.matcher import apply_morphism, find_instance
+from revpat.patterns import canonical, factors
 from revpat.sequences import F2, F4, apply_binary_morphism, thue_morse_prefix
 from revpat.verify import (
     CHECKS,
@@ -14,6 +16,7 @@ from revpat.verify import (
     internal_factors,
     mod3_step_violation,
     run_checks,
+    vf_classifier_oracle,
     vf_pigeonhole,
     vf_square_limited,
     vf_tm_desubstitution,
@@ -66,6 +69,25 @@ def test_run_checks_validation(monkeypatch):
     assert report.parameters["k"] == 3
     with pytest.raises(ValueError, match="'k'.*'two'"):
         run_checks(params={"k": "two"})
+
+
+@pytest.mark.parametrize("check_id, key, value, minimum", [
+    ("tm-desubstitution", "prefix_len", "0", 1),
+    ("tm-prefix-covering", "max_exp", "-1", 0),
+    ("image-locality-f1", "max_len", "0", 1),
+    ("alternating", "max_len", "1", 2),  # range(2, 2): no pattern checked
+])
+def test_run_checks_rejects_a_parameter_below_its_bound(check_id, key, value, minimum):
+    with pytest.raises(ValueError, match=f"'{key}' >= {minimum}, got {value}"):
+        run_checks(only=check_id, params={key: value})
+
+
+def test_every_integer_parameter_has_a_lower_bound():
+    for cid, (fn, fixed, minima) in CHECKS.items():
+        params = inspect.signature(fn).parameters
+        assert set(minima) == {k for k, q in params.items() if isinstance(q.default, int)}, cid
+        for key, minimum in minima.items():
+            assert fixed.get(key, params[key].default) >= minimum, (cid, key)
 
 
 def test_reports_are_deterministic_and_json_clean():
@@ -212,3 +234,45 @@ def test_classical_seeds_check():
                         params={"witness_len": 120, "matcher_prefix": 250,
                                 "overlap_prefix": 800})[0]
     assert report.passed, report.counterexample
+
+
+# total prover nodes of the oracle sweep at max_len=4, avoider_len=80; node
+# counts do not depend on the machine
+ORACLE_NODES_4_80 = 2449
+
+
+def test_classifier_oracle_witnesses_come_from_factors():
+    report = vf_classifier_oracle(max_len=4, avoider_len=80)
+    assert report.passed, report.counterexample
+    bound = report.searched_bound
+    assert (bound["patterns_checked"], bound["classes_searched"]) == (340, 35)
+    assert bound["prove_nodes"] == ORACLE_NODES_4_80
+    sources = bound["witness_factors"]
+    for c, q in sources.items():
+        assert q in {canonical(u) for u in factors(c)}, (c, q)
+    # the ternary trap: xxyx takes its witness from the square-free words
+    assert sources["xxyx"] == "xx"
+    # an unavoidable class has no witness; a seed supplies its own
+    assert "xyx" not in sources and sources["xX"] == "xX"
+
+
+def test_classifier_oracle_covers_length_five():
+    report = vf_classifier_oracle(max_len=5, avoider_len=80)
+    assert report.passed, report.counterexample
+    bound = report.searched_bound
+    assert (bound["patterns_checked"], bound["classes_searched"]) == (1364, 111)
+
+
+def test_classifier_oracle_fails_when_the_matcher_refutes_witnesses(monkeypatch):
+    monkeypatch.setattr(verify, "avoids", lambda word, p: False)
+    report = vf_classifier_oracle(max_len=2, avoider_len=40)
+    assert not report.passed
+    assert report.counterexample["searched"] == "xx"
+
+
+def test_classifier_oracle_never_takes_an_inconclusive_search(monkeypatch):
+    monkeypatch.setattr(verify, "prove_k_unavoidable",
+                        lambda p, k, depth: engine.prove_k_unavoidable(p, k, depth, 3))
+    report = vf_classifier_oracle(max_len=2, avoider_len=40)
+    assert not report.passed
+    assert len(report.counterexample["witness"]) < 40
