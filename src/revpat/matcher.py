@@ -36,6 +36,8 @@ class InstanceWitness:
 
 def parse_word(text: str, alphabet_size: int | None = None) -> str:
     """Validate a digit-string word; letters must be below the alphabet size."""
+    if alphabet_size is None and text.isascii() and text.isdigit():
+        return text
     if alphabet_size is not None and not 1 <= alphabet_size <= 10:
         raise ValueError(f"alphabet size must be between 1 and 10, got {alphabet_size}")
     for i, ch in enumerate(text):
@@ -185,9 +187,7 @@ def _search(w: str, p: str, max_x: int | None, max_y: int | None) -> InstanceWit
         return inner and InstanceWitness(inner.start, inner.x[::-1], inner.y)
 
     plan = _plan(p)
-    data = w.encode("ascii", "replace")  # offsets into data are offsets into w
-    if data.translate(None, b"0123456789"):
-        parse_word(w)  # raises, naming the first letter that is not a digit
+    data = parse_word(w).encode()  # ASCII, so offsets into data are offsets into w
     for start in range(len(data)):
         found = _match_at(plan, data, start, max_x, max_y)
         if found is not None:

@@ -17,14 +17,21 @@ The families, addressed by the ids in ``SEQUENCE_IDS``:
 
 Everything downstream treats these as pure prefix functions: prefix(m) is a
 prefix of prefix(n) for m <= n.
+
+The repetition scans take ASCII digit words (else ``ValueError`` naming the
+position) and read their answers off ``_periodic_runs``, one C-speed scan
+per period; ``contains_overlap`` reports the least start, then least period.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
+
+from .matcher import parse_word
 
 # Binary morphisms as (image of 0, image of 1).
 H = ("01", "10")
@@ -106,18 +113,9 @@ _sl_word = bytearray()
 _sl_emitted = 0
 
 
-def _square_violation_at_end(mv: memoryview, n: int) -> bool:
-    """Does a square outside {00, 11, 0101} end at position n-1?
-
-    Half-length 1 squares are 00 or 11 and always allowed; half-length 2 only
-    0101; anything longer is forbidden.
-    """
-    for h in range(2, n // 2 + 1):
-        if mv[n - 2 * h:n - h] == mv[n - h:n]:
-            if h == 2 and mv[n - 4:n] == b"0101":
-                continue
-            return True
-    return False
+# A square outside {00, 11, 0101} at the start of the reversed word, that is,
+# ending the word: half-length 2 except 0101 (1010 reversed), or 3 and more.
+_FORBIDDEN_SQUARE = re.compile(rb"(?!1010)(..)\1|(...+)\2")
 
 
 def _extend_square_limited(word: bytearray, target: int, floor: int) -> None:
@@ -129,8 +127,7 @@ def _extend_square_limited(word: bytearray, target: int, floor: int) -> None:
     c = 0x30  # try 0 first: the generated word is lexicographically least
     while len(word) < target:
         word.append(c)
-        with memoryview(word) as mv:
-            bad = _square_violation_at_end(mv, len(word))
+        bad = _FORBIDDEN_SQUARE.match(word[::-1]) is not None
         if bad:
             # drop the failed letter and every 1 before it; the 0 reached becomes a 1
             while word.pop() == 0x31:
@@ -189,34 +186,42 @@ def bispecial_factors(w: str, max_len: int) -> set[str]:
     return out
 
 
+_ZEROS = re.compile(rb"\0+")
+
+
+def _periodic_runs(data: bytes, period: int, min_len: int):
+    """Maximal stretches (i, j), period < min_len <= j - i, left to right, with
+    data[k] == data[k + period] for i <= k < j - period: the runs of zero
+    bytes of data XOR data shifted by the period (0 < period < len(data))."""
+    n = len(data) - period
+    diff = (int.from_bytes(data[:n], "big") ^ int.from_bytes(data[period:], "big")).to_bytes(n, "big")
+    need = b"\0" * (min_len - period)
+    k = diff.find(need)
+    while k >= 0:
+        end = _ZEROS.match(diff, k).end()
+        yield k, end + period
+        k = diff.find(need, end)
+
+
 def collect_squares(w: str) -> set[str]:
     """Every square factor uu of w (the squares themselves, not positions)."""
-    data = w.encode()
-    mv = memoryview(data)
-    n = len(w)
-    found = set()
-    for h in range(1, n // 2 + 1):
-        for i in range(n - 2 * h + 1):
-            if data[i] == data[i + h] and mv[i:i + h] == mv[i + h:i + 2 * h]:
-                found.add(w[i:i + 2 * h])
-    return found
+    data = parse_word(w).encode()
+    # a run of period h holds at most h distinct squares of half-length h
+    return {w[s:s + 2 * h] for h in range(1, len(w) // 2 + 1) for i, j in _periodic_runs(data, h, 2 * h)
+            for s in range(i, min(j - 2 * h, i + h - 1) + 1)}
 
 
 def contains_overlap(w: str) -> str | None:
-    """First factor of the form a.z.a.z.a (a letter, z possibly empty).
+    """The factor a.z.a.z.a (a a letter, z possibly empty) with the least
+    start and, among those, the least period |az|; None when w has none.
 
     Such a factor exists exactly when w contains an instance of xxx or of
     xyxyx, so this is the fast equivalent of those two pattern searches.
-    Returns the factor, or None.
     """
-    data = w.encode()
-    mv = memoryview(data)
-    n = len(w)
-    for i in range(n - 2):
-        for period in range(1, (n - i - 1) // 2 + 1):
-            if data[i] == data[i + period] and mv[i:i + period + 1] == mv[i + period:i + 2 * period + 1]:
-                return w[i:i + 2 * period + 1]
-    return None
+    data = parse_word(w).encode()
+    first = min(((i, p) for p in range(1, (len(w) - 1) // 2 + 1)
+                 for i, _ in islice(_periodic_runs(data, p, 2 * p + 1), 1)), default=None)
+    return first and w[first[0]:first[0] + 2 * first[1] + 1]
 
 
 # --- left completions -----------------------------------------------------------
@@ -235,15 +240,7 @@ def _max_image_suffix(m: tuple[str, str], max_factor_len: int) -> dict[str, int]
     """For each image v: the length of its longest proper suffix that is
     itself an image (0 when none)."""
     images = tm_factor_images(m, max_factor_len)
-    out = {}
-    for v in images:
-        best = 0
-        for length in range(len(v) - 1, 0, -1):
-            if v[-length:] in images:
-                best = length
-                break
-        out[v] = best
-    return out
+    return {v: next((n for n in range(len(v) - 1, 0, -1) if v[-n:] in images), 0) for v in images}
 
 
 def left_completions(u: str, m: tuple[str, str], max_factor_len: int = 64) -> list[str]:

@@ -133,6 +133,11 @@ def test_verify_params_take_their_parameter_type(capsys):
     [report] = json.loads(_out(capsys))
     assert report["parameters"]["injected"] is True and report["parameters"]["n"] == 4
     assert report["counterexample"] == {"missing_squares": ["0101"]}
+    # a word that is not a digit string is a usage error, not a stray square
+    assert run(["verify", "--only", "square-limited", "--params", "word=0a0a00110101"]) == 2
+    assert "'a' at position 1" in capsys.readouterr().err
+    assert run(["verify", "--only", "square-limited", "--params", "word=0\u00e90"]) == 2
+    assert "position 1" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_one(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -101,6 +102,16 @@ def test_square_limited_extension_never_revises_the_emitted_floor():
     assert len(word) == 6 and word[:3] == b"011" and _allowed_squares_only(word.decode())
 
 
+def test_square_limited_prefix_4000_is_pinned(monkeypatch):
+    # sha256 of the 4,000-letter prefix as generated by the per-half-length
+    # scan this generator replaced; a generator that keeps the allowed
+    # squares but does not emit the least word fails here
+    monkeypatch.setattr(seq, "_sl_word", bytearray())
+    monkeypatch.setattr(seq, "_sl_emitted", 0)
+    digest = hashlib.sha256(square_limited_prefix(4000).encode()).hexdigest()
+    assert digest == "8ef18093a6695230966f1277687d7143099f75e97b99beb1a28e45c7cb650071"
+
+
 def test_square_limited_square_inventory():
     w = square_limited_prefix(400)
     assert collect_squares(w) <= {"00", "11", "0101"}
@@ -160,10 +171,6 @@ def test_g_mod3_and_forbidden_factors():
     assert "012220122" not in g
 
 
-def test_squares_of_the_pivot_word():
-    assert collect_squares("201222012") == {"22"}
-
-
 def test_factor_set_examples():
     assert factor_set("0110100", 2) == {"01", "11", "10", "00"}
     assert factor_set("0110", 4) == {"0110"}
@@ -204,7 +211,7 @@ def test_left_completion_examples():
 
 def test_overlap_scan_examples():
     assert contains_overlap("000") == "000"
-    assert contains_overlap("0101101101") is not None  # 011 011 0 -> a=0? scan finds some a.z.a.z.a
+    assert contains_overlap("0101101101") == "1011011"  # start 1, period 3
     assert contains_overlap("0011") is None
     assert contains_overlap(thue_morse_prefix(2000)) is None
 
@@ -216,6 +223,85 @@ def test_overlap_scan_equals_pattern_searches(w):
     matched = (find_instance(w, "xxx") is not None
                or find_instance(w, "xyxyx") is not None)
     assert scan == matched
+
+
+# Brute-force references: the per-(position, period) slice comparisons the
+# period scans replaced.
+
+def _brute_squares(w):
+    data = w.encode()
+    mv = memoryview(data)
+    n = len(w)
+    found = set()
+    for h in range(1, n // 2 + 1):
+        for i in range(n - 2 * h + 1):
+            if data[i] == data[i + h] and mv[i:i + h] == mv[i + h:i + 2 * h]:
+                found.add(w[i:i + 2 * h])
+    return found
+
+
+def _brute_overlap(w):
+    data = w.encode()
+    mv = memoryview(data)
+    n = len(w)
+    for i in range(n - 2):
+        for period in range(1, (n - i - 1) // 2 + 1):
+            if data[i] == data[i + period] and mv[i:i + period + 1] == mv[i + period:i + 2 * period + 1]:
+                return w[i:i + 2 * period + 1]
+    return None
+
+
+def _brute_forbidden_square_ends(w):
+    """Does a square outside {00, 11, 0101} end at the last letter of w?"""
+    n = len(w)
+    for h in range(2, n // 2 + 1):
+        if w[n - 2 * h:n - h] == w[n - h:n]:
+            if h == 2 and w[n - 4:] == "0101":
+                continue
+            return True
+    return False
+
+
+def _generator_end_test(w):
+    return seq._FORBIDDEN_SQUARE.match(w[::-1].encode()) is not None
+
+
+_WORDS = st.sampled_from(["01", "012", "0123456789"]).flatmap(
+    lambda letters: st.text(alphabet=letters, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WORDS)
+def test_repetition_scans_match_brute_force(w):
+    assert collect_squares(w) == _brute_squares(w)
+    assert contains_overlap(w) == _brute_overlap(w)
+    assert _generator_end_test(w) == _brute_forbidden_square_ends(w)
+
+
+@pytest.mark.parametrize("w", [
+    thue_morse_prefix(2000), square_limited_prefix(2000), "0" * 300, "01" * 200, "012" * 90,
+], ids=["thue-morse-2000", "square-limited-2000", "0x300", "01x200", "012x90"])
+def test_repetition_scans_match_brute_force_on_long_words(w):
+    assert collect_squares(w) == _brute_squares(w)
+    assert contains_overlap(w) == _brute_overlap(w)
+    for n in range(len(w) + 1):
+        assert _generator_end_test(w[:n]) == _brute_forbidden_square_ends(w[:n])
+
+
+def test_repetition_scan_examples():
+    assert collect_squares("201222012") == {"22"}  # the pivot word
+    assert collect_squares("") == set() and contains_overlap("") is None
+    assert contains_overlap("01" * 200) == "01010"
+    assert contains_overlap("012" * 90) == "0120120"
+    assert collect_squares("0" * 6) == {"00", "0000", "000000"}
+
+
+def test_repetition_scans_reject_non_digit_words():
+    for scan in (collect_squares, contains_overlap):
+        with pytest.raises(ValueError, match="position 0"):
+            scan("\u00e9\u00e9\u00e9")
+        with pytest.raises(ValueError, match="'a' at position 1"):
+            scan("0a0a00110101")
 
 
 def test_overlap_freeness_via_matcher_at_shorter_length():
