@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import signal
 import sys
 
 from . import engine, matcher, patterns, sequences, verify
@@ -49,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence", metavar="seqid",
                    help="one of: " + ", ".join(sequences.SEQUENCE_IDS))
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--cache", default=None,
-                   help="cache directory (default: $REVPAT_CACHE or ./cache)")
 
     p = sub.add_parser("search", parents=[common],
                        help="backtracking search for an avoiding word")
@@ -147,8 +145,7 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
     if args.command == "generate":
         if args.length < 0:
             raise ValueError("--length must be non-negative")
-        cache_dir = args.cache or os.environ.get("REVPAT_CACHE") or "./cache"
-        word = sequences.sequence_prefix(args.sequence, args.length, cache_dir=cache_dir)
+        word = sequences.sequence_prefix(args.sequence, args.length)
         _emit({"sequence": args.sequence, "length": args.length,
                "lookahead": sequences.DEFAULT_LOOKAHEAD, "word": word}, as_json, word)
         return 0
@@ -198,6 +195,10 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
 
 
 def main() -> None:
+    # a reader that stops early (``revpat generate ... | head``) ends the
+    # process quietly, as for any other filter, instead of a BrokenPipeError
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -34,19 +34,13 @@ class InstanceWitness:
     y: str | None
 
 
-def parse_word(text: str, alphabet_size: int | None = None) -> str:
-    """Validate a digit-string word; letters must be below the alphabet size."""
-    if alphabet_size is None and text.isascii() and text.isdigit():
+def parse_word(text: str) -> str:
+    """Validate a word: a string of the ASCII digits 0-9."""
+    if text.isascii() and text.isdigit():
         return text
-    if alphabet_size is not None and not 1 <= alphabet_size <= 10:
-        raise ValueError(f"alphabet size must be between 1 and 10, got {alphabet_size}")
     for i, ch in enumerate(text):
         if not "0" <= ch <= "9":
             raise ValueError(f"invalid word letter {ch!r} at position {i}: expected a digit 0-9")
-        if alphabet_size is not None and int(ch) >= alphabet_size:
-            raise ValueError(
-                f"letter {ch} at position {i} is outside the {alphabet_size}-letter alphabet"
-            )
     return text
 
 

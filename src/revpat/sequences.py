@@ -25,9 +25,7 @@ per period; ``contains_overlap`` reports the least start, then least period.
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 from functools import lru_cache
 from itertools import accumulate, islice
 
@@ -261,7 +259,7 @@ def left_completions(u: str, m: tuple[str, str], max_factor_len: int = 64) -> li
     return sorted(found, key=lambda v: (len(v), v))
 
 
-# --- unified prefix access and the on-disk cache ---------------------------------
+# --- unified prefix access ----------------------------------------------------
 
 _PREFIXES = {
     "thue-morse": thue_morse_prefix,
@@ -277,39 +275,10 @@ _PREFIXES = {
 SEQUENCE_IDS = tuple(_PREFIXES)
 
 
-def sequence_prefix(seq_id: str, n: int, cache_dir: str | None = None) -> str:
-    """Length-n prefix of one of the named sequences, optionally disk-cached.
-
-    Cache files hold a single digit string, newline-terminated, under the name
-    ``<seqid>-<n>.txt``.  A cached word of the wrong length or with a letter
-    outside the sequence's alphabet is regenerated and overwritten; files are
-    written under a temporary name and renamed into place, so a reader never
-    sees a partly written one.
-    """
+def sequence_prefix(seq_id: str, n: int) -> str:
+    """Length-n prefix of one of the named sequences."""
     if seq_id not in _PREFIXES:
         raise ValueError(f"unknown sequence id {seq_id!r}; expected one of {', '.join(SEQUENCE_IDS)}")
     if n < 0:
         raise ValueError("prefix length must be non-negative")
-
-    path = None
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"{seq_id}-{n}.txt")
-        if os.path.exists(path):
-            with open(path, encoding="ascii", errors="replace") as fh:
-                word = fh.read().strip()
-            if len(word) == n and set(word) <= set("012" if seq_id == "g-ternary" else "01"):
-                return word
-
-    word = _PREFIXES[seq_id](n)
-
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(word + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            os.remove(tmp)
-            raise
-    return word
+    return _PREFIXES[seq_id](n)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import product
 
 from .engine import (
@@ -645,7 +646,7 @@ def vf_classical_seed_avoiders(witness_len: int = 200,
 
 # --- factor-locality of morphic images and Thue-Morse windows ---------------------
 
-def vf_image_locality(morphism: str = "f1", max_len: int = 30) -> VerificationReport:
+def vf_image_locality(morphism: str, max_len: int = 30) -> VerificationReport:
     """Short factors of m(t) appear in images of short Thue-Morse factors."""
     if morphism not in MORPHISMS or morphism == "h":
         raise ValueError("image locality applies to f1, f2, f3 or f4")
@@ -731,6 +732,8 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
 # check id -> (check, fixed parameters, lower bound of each integer
 # parameter); a value below its bound would leave the check with nothing to
 # search (or no defined search), so run_checks rejects it before any check runs.
+# What names the check, such as the morphism of image-locality, is bound into
+# the callable, so no parameter can make one id run another check.
 CHECKS: dict[str, tuple] = {
     "square-limited": (vf_square_limited, {}, {"n": 1}),
     "g-avoidance": (vf_g_avoidance, {}, {"n": 4}),
@@ -746,10 +749,10 @@ CHECKS: dict[str, tuple] = {
                           {"max_len": 1, "avoider_len": 1, "unavoidable_depth": 1}),
     "classical-seeds": (vf_classical_seed_avoiders, {},
                         {"witness_len": 1, "matcher_prefix": 1, "overlap_prefix": 1}),
-    "image-locality-f1": (vf_image_locality, {"morphism": "f1", "max_len": 30}, {"max_len": 1}),
-    "image-locality-f2": (vf_image_locality, {"morphism": "f2", "max_len": 30}, {"max_len": 1}),
-    "image-locality-f3": (vf_image_locality, {"morphism": "f3", "max_len": 9}, {"max_len": 1}),
-    "image-locality-f4": (vf_image_locality, {"morphism": "f4", "max_len": 21}, {"max_len": 1}),
+    "image-locality-f1": (partial(vf_image_locality, "f1"), {"max_len": 30}, {"max_len": 1}),
+    "image-locality-f2": (partial(vf_image_locality, "f2"), {"max_len": 30}, {"max_len": 1}),
+    "image-locality-f3": (partial(vf_image_locality, "f3"), {"max_len": 9}, {"max_len": 1}),
+    "image-locality-f4": (partial(vf_image_locality, "f4"), {"max_len": 21}, {"max_len": 1}),
     "tm-prefix-covering": (vf_tm_prefix_covering, {}, {"max_exp": 0, "big_len": 1}),
     "tm-desubstitution": (vf_tm_desubstitution, {}, {"prefix_len": 1}),
 }

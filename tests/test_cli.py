@@ -1,7 +1,10 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+
+import pytest
 
 from revpat import engine, verify
 from revpat.cli import run
@@ -45,27 +48,27 @@ def test_graph(capsys):
     assert payload["coloring"]["X"] != payload["coloring"]["y"]
 
 
-def test_generate_and_cache(tmp_path, capsys):
-    assert run(["generate", "thue-morse", "--length", "16",
-                "--cache", str(tmp_path)]) == 0
-    assert _out(capsys) == "0110100110010110"
-    assert (tmp_path / "thue-morse-16.txt").read_text() == "0110100110010110\n"
-
-
-def test_generate_env_cache(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REVPAT_CACHE", str(tmp_path))
-    assert run(["generate", "alternating", "--length", "6"]) == 0
-    assert _out(capsys) == "010101"
-    assert (tmp_path / "alternating-6.txt").exists()
-
-
-def test_generate_has_no_lookahead_flag(tmp_path, capsys):
-    assert run(["generate", "thue-morse", "--length", "8", "--lookahead", "5",
-                "--cache", str(tmp_path)]) == 2
-    assert run(["--json", "generate", "square-limited", "--length", "12",
-                "--cache", str(tmp_path)]) == 0
+def test_generate_has_no_lookahead_flag(capsys):
+    assert run(["generate", "thue-morse", "--length", "8", "--lookahead", "5"]) == 2
+    assert run(["--json", "generate", "square-limited", "--length", "12"]) == 0
     assert json.loads(_out(capsys)) == {"sequence": "square-limited", "length": 12,
                                         "lookahead": 100, "word": "000101100011"}
+
+
+def test_generate_reads_and_writes_no_files(tmp_path, capsys, monkeypatch):
+    work, env_dir = tmp_path / "work", tmp_path / "env"
+    work.mkdir()
+    env_dir.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("REVPAT_CACHE", str(env_dir))
+    assert run(["generate", "square-limited", "--length", "50"]) == 0
+    assert _out(capsys) == "00010110001110010110001011100011001011000101110010"
+    assert list(work.iterdir()) == [] and list(env_dir.iterdir()) == []
+    # there is no cache directory to name
+    assert run(["generate", "thue-morse", "--length", "8", "--cache", str(env_dir)]) == 2
+    assert run(["--json", "generate", "thue-morse", "--length", "8",
+                "--cache", str(env_dir)]) == 2
+    assert json.loads(_out(capsys)) == {"error": "usage error"}
 
 
 def test_generate_rejects_unknown_sequence(capsys):
@@ -95,13 +98,28 @@ def test_search_with_a_spent_budget_is_inconclusive(capsys):
     assert run(argv + ["--max-nodes", "0"]) == 2
 
 
-def test_python_dash_m_runs_the_cli():
+def _cli_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "revpat", "classify", "xyxY"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
     assert (done.returncode, done.stdout.strip()) == (0, "3")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_reader_that_stops_early_gets_no_traceback():
+    # 300,000 letters overfill the pipe, so the writer meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "revpat", "generate", "thue-morse",
+                             "--length", "300000"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_cli_env())
+    assert proc.stdout.read(5) == b"01101"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
 
 
 def test_verify_single_check(capsys):
@@ -118,6 +136,14 @@ def test_verify_rejects_a_parameter_no_check_accepts(capsys, monkeypatch):
     assert "'kk'" in capsys.readouterr().err
     assert run(["--json", "verify", "--params", "k=3"]) == 0
     assert json.loads(_out(capsys))[0]["parameters"]["k"] == 3
+
+
+def test_verify_morphism_is_not_a_parameter(capsys):
+    # the morphism names an image-locality check; a parameter cannot swap it
+    assert run(["verify", "--params", "morphism=f2"]) == 2
+    assert "no check accepts parameter 'morphism'" in capsys.readouterr().err
+    assert run(["--json", "verify", "--only", "image-locality-f1", "--params", "morphism=f3"]) == 2
+    assert "'morphism'" in json.loads(_out(capsys))["error"]
 
 
 def test_verify_params_take_their_parameter_type(capsys):

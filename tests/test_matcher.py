@@ -23,18 +23,13 @@ ALL_PATTERNS_TO_4 = ["".join(t) for n in range(1, 5)
 
 def test_parse_word():
     assert parse_word("0110") == "0110"
-    assert parse_word("012", alphabet_size=3) == "012"
+    assert parse_word("0123456789") == "0123456789"
     with pytest.raises(ValueError, match="position 1"):
         parse_word("0a1")
-    with pytest.raises(ValueError, match="outside"):
-        parse_word("012", alphabet_size=2)
-    with pytest.raises(ValueError):
-        parse_word("0", alphabet_size=11)
     # str.isdigit accepts ARABIC-INDIC DIGIT THREE and SUPERSCRIPT TWO
     for text, pos in (("\u0663", 0), ("\u00b2", 0), ("\u0663\u0663", 0), ("0\u0663", 1)):
-        for size in (None, 3, 10):
-            with pytest.raises(ValueError, match=f"position {pos}"):
-                parse_word(text, alphabet_size=size)
+        with pytest.raises(ValueError, match=f"position {pos}"):
+            parse_word(text)
 
 
 def test_apply_morphism_examples():

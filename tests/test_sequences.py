@@ -358,29 +358,6 @@ def test_sequence_prefix_definitional_identities():
         sequence_prefix("nope", 5)
 
 
-def test_sequence_prefix_cache_round_trip(tmp_path):
-    word = sequence_prefix("square-limited", 50, cache_dir=str(tmp_path))
-    path = tmp_path / "square-limited-50.txt"
-    assert path.read_text() == word + "\n"
-    # a second call must come back from disk byte-identical
-    assert sequence_prefix("square-limited", 50, cache_dir=str(tmp_path)) == word
-    tm = sequence_prefix("thue-morse", 32, cache_dir=str(tmp_path))
-    assert (tmp_path / "thue-morse-32.txt").read_text() == tm + "\n"
-
-
-@pytest.mark.parametrize("seq_id, name, stored", [
-    ("thue-morse", "thue-morse-32.txt", "0110100110010110"),  # truncated
-    ("w2", "w2-32.txt", "0" * 31 + "2"),  # a letter outside {0, 1}
-    ("g-ternary", "g-ternary-32.txt", "3" * 32),  # outside {0, 1, 2}
-], ids=["truncated", "binary-holds-2", "ternary-holds-3"])
-def test_sequence_prefix_regenerates_a_bad_cache_file(tmp_path, seq_id, name, stored):
-    want = sequence_prefix(seq_id, 32)
-    (tmp_path / name).write_text(stored + "\n")
-    assert sequence_prefix(seq_id, 32, cache_dir=str(tmp_path)) == want
-    assert (tmp_path / name).read_text() == want + "\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
-
-
 def test_prefix_stability_across_families():
     for sid in ("thue-morse", "alternating", "square-limited", "g-ternary",
                 "w1", "w2", "w3", "w4"):

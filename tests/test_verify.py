@@ -56,6 +56,14 @@ def test_run_checks_validation(monkeypatch):
         run_checks(only="nope")
     with pytest.raises(ValueError, match="does not accept"):
         run_checks(only="pigeonhole", params={"bogus": 1})
+    # the morphism is part of an image-locality check, not a parameter of it
+    with pytest.raises(ValueError, match="no check accepts parameter 'morphism'"):
+        run_checks(params={"morphism": "f2"})
+    with pytest.raises(ValueError, match="does not accept parameter 'morphism'"):
+        run_checks(only="image-locality-f1", params={"morphism": "f3"})
+    [report] = run_checks(only="image-locality-f3", params={"max_len": "5"})
+    assert (report.check_id, report.parameters) == ("image-locality-f3",
+                                                    {"morphism": "f3", "max_len": 5})
     # across the registry too, a parameter no check accepts is an error
     monkeypatch.setattr(verify, "CHECKS", {"pigeonhole": CHECKS["pigeonhole"]})
     with pytest.raises(ValueError, match="'kk'"):
