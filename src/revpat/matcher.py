@@ -9,9 +9,12 @@ smallest |Y|.
 
 One slot kernel, ``_match_at``, finds the least instance that starts at a
 given position; the search runs it at each start in turn, and the prover in
-``engine`` runs it at the start of each reversed node word.  Only-y
-patterns are matched through their x-renamed form; the witness then carries
-a y assignment and no x assignment.
+``engine`` runs it at the start of each reversed node word.  Every scan runs
+on the pattern's x-led form (``x_led``), the only form the kernel prunes:
+renaming keeps where instances start.  The witness is still p's own least
+(start, |X|, |Y|): when the renaming swapped two used variables, p's own
+plan is run once, at the start the scan found.  An only-y pattern's witness
+carries a y assignment and no x assignment.
 """
 
 from __future__ import annotations
@@ -170,24 +173,48 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
     return None
 
 
-def _search(w: str, p: str, max_x: int | None, max_y: int | None) -> InstanceWitness | None:
+def x_led(p: str) -> str:
+    """p renamed to start with x: the variables swapped when p starts with y
+    or Y, then x and X swapped when the result starts with X.  Renaming keeps
+    the starts of instances and maps (|X|, |Y|) to (|Y|, |X|) exactly when
+    the variables are swapped."""
+    if p[0] in "yY":
+        p = iota(2, p)
+    return iota(1, p) if p[0] == "X" else p
+
+
+def _scan(w: str, p: str, max_x: int | None, max_y: int | None):
+    """(start, (x, y)) of the first instance of p in w, scanned in p's x-led
+    form: x and y are that form's values, least in its (|X|, |Y|) order.
+    None when w avoids p within the bounds."""
     if not p:
         raise ValueError("the empty pattern has no instances; classify it directly")
-    if not variable_counts(p)[0]:
-        inner = _search(w, iota(2, p), max_y, max_x)
-        return inner and InstanceWitness(inner.start, None, inner.x)
-    if p[0] == "X":
-        inner = _search(w, iota(1, p), max_x, max_y)
-        return inner and InstanceWitness(inner.start, inner.x[::-1], inner.y)
-
-    plan = _plan(p)
     data = parse_word(w).encode()  # ASCII, so offsets into data are offsets into w
+    if p[0] in "yY":
+        max_x, max_y = max_y, max_x
+    plan = _plan(x_led(p))
     for start in range(len(data)):
         found = _match_at(plan, data, start, max_x, max_y)
         if found is not None:
-            x, y = found
-            return InstanceWitness(start, x.decode(), y.decode() if y is not None else None)
+            return start, found
     return None
+
+
+def _search(w: str, p: str, max_x: int | None, max_y: int | None) -> InstanceWitness | None:
+    hit = _scan(w, p, max_x, max_y)
+    if hit is None:
+        return None
+    start, (x, y) = hit
+    if p[0] in "yY" and y is not None:
+        # p's least (|X|, |Y|) at this start need not be the renamed form's
+        # least (|Y|, |X|): read it with p's own plan
+        x, y = _match_at(_plan(p), w.encode(), start, max_x, max_y)
+    else:
+        if p[0] in "XY":
+            x = x[::-1]  # the renamed form's x is the reversal of p's first variable
+        if p[0] in "yY":
+            x, y = None, x
+    return InstanceWitness(start, x and x.decode(), y and y.decode())
 
 
 def find_instance(w: str, p: str) -> InstanceWitness | None:
@@ -204,7 +231,7 @@ def find_instance_bounded(w: str, p: str, max_x: int, max_y: int) -> InstanceWit
 
 def avoids(w: str, p: str) -> bool:
     """True when no factor of w is an instance of p."""
-    return _search(w, p, None, None) is None
+    return _scan(w, p, None, None) is None
 
 
 def witness_image(p: str, witness: InstanceWitness) -> str:

@@ -42,6 +42,7 @@ from .sequences import (
     H,
     MORPHISMS,
     alternating_prefix,
+    apply_binary_morphism,
     bispecial_factors,
     collect_squares,
     contains_overlap,
@@ -705,13 +706,15 @@ def vf_tm_prefix_covering(max_exp: int = 6, big_len: int = 7 * 256) -> Verificat
 def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
     """Odd-length factors come from images of half-length factors under h."""
     host = thue_morse_prefix(prefix_len)
-    counter = None
+    counter = cover = None
     for length in range(1, prefix_len + 1, 2):
         half = (length + 1) // 2
         # h doubles every letter, so the words h(v) less one letter at either
         # end, over the factors v of tau of half letters, are exactly the
         # factors of h(tau) of this odd length
-        image = tm_image(H, covering_prefix_length(half))[1]
+        n = covering_prefix_length(half)
+        if n != cover:  # n grows with half: one image per covering length
+            cover, image = n, apply_binary_morphism(H, thue_morse_prefix(n))
         stray = {u for u in factor_set(host, length) if u not in image}
         if stray:
             counter = {"length": length, "factor": sorted(stray)[0]}
@@ -776,6 +779,8 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
     parameter's default is an int; a parameter that no selected check accepts,
     a string there that ``int()`` rejects, or a value below the check's
     declared lower bound for it is an error, raised before any check runs.
+    A report that passed with every integer count in its ``searched_bound``
+    at zero searched nothing, and raises RuntimeError.
     This is the one place a check is timed: each report's ``elapsed`` is set
     here, in seconds rounded to six digits.
     """
@@ -801,9 +806,13 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
                                  f"got {kwargs[key]!r}")
         calls[cid] = fn, kwargs
     reports = []
-    for fn, kwargs in calls.values():
+    for cid, (fn, kwargs) in calls.items():
         started = time.perf_counter()
         report = fn(**kwargs)
         report.elapsed = round(time.perf_counter() - started, 6)
+        counts = [v for v in report.searched_bound.values() if type(v) is int]
+        if report.passed and counts and not any(counts):
+            raise RuntimeError(f"check {cid!r} passed having searched nothing: "
+                               f"searched_bound {report.searched_bound}")
         reports.append(report)
     return reports

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revpat.engine import TWO_AVOIDABLE_SEEDS
+from revpat import matcher
+from revpat.engine import TWO_AVOIDABLE_SEEDS, prove_k_unavoidable
 from revpat.matcher import (
     InstanceWitness,
     apply_morphism,
@@ -14,7 +15,7 @@ from revpat.matcher import (
     parse_word,
     witness_image,
 )
-from revpat.patterns import PATTERN_ALPHABET, iota, variable_counts
+from revpat.patterns import PATTERN_ALPHABET, equivalence_class, iota, variable_counts
 from revpat.sequences import alternating_prefix
 
 ALL_PATTERNS_TO_4 = ["".join(t) for n in range(1, 5)
@@ -129,13 +130,15 @@ def _oracle_find(w, p, max_x=None, max_y=None):
 
 def test_matcher_agrees_with_oracle_on_all_short_patterns():
     # the 30-40 letter words and the length-5 seeds reach the kernel's
-    # repeat cutoff and its |Y| pinning at many lengths
+    # repeat cutoff and its |Y| pinning at many lengths; the seeds' y-led and
+    # Y-led orbit members are scanned renamed and re-read in their own order
     rng = random.Random(20260810)
     words = [""] + ["".join(rng.choice("012"[:k]) for _ in range(rng.randint(1, 12)))
                     for k in (2, 2, 2, 3, 3) for _ in range(5)]
     words += ["".join(rng.choice("012"[:k]) for _ in range(rng.randint(30, 40)))
               for k in (2, 2, 3, 3)]
     seeds = sorted(s for s in TWO_AVOIDABLE_SEEDS if len(s) == 5)
+    seeds += sorted(q for s in seeds for q in equivalence_class(s) if q[0] in "yY")
     for p in ALL_PATTERNS_TO_4 + seeds:
         for w in words:
             got = find_instance(w, p) if w else None
@@ -183,3 +186,25 @@ def test_bound_restricts_the_search():
     # unbounded finds X=01 at start 0; the bound forces the start-1 witness
     assert find_instance("0110", "xX").start == 0
     assert find_instance_bounded("0110", "xX", 1, 1).start == 1
+
+
+@pytest.mark.parametrize("p", ["yxYxx", "YxyXy", "yxxY"])
+def test_y_led_scans_run_their_own_plan_once(p, monkeypatch):
+    # a search witness avoids p; appending an image of p makes an instance
+    word = prove_k_unavoidable(p, 2, 200).longest_word
+    hit = word + apply_morphism(p, "0", "1")
+    starts = []
+    match_at = matcher._match_at
+
+    def spy(plan, w, start, max_x=None, max_y=None):
+        if plan[2] == 0:  # no x slot before the first y slot: p's own plan
+            starts.append(start)
+        return match_at(plan, w, start, max_x, max_y)
+
+    monkeypatch.setattr(matcher, "_match_at", spy)
+    assert len(word) == 200 and avoids(word, p) and not avoids(hit, p)
+    assert find_instance(word, p) is None
+    assert starts == []
+    wit = find_instance(hit, p)
+    assert starts == [wit.start]
+    assert hit[wit.start:].startswith(witness_image(p, wit))

@@ -90,6 +90,18 @@ def test_run_checks_rejects_a_parameter_below_its_bound(check_id, key, value, mi
         run_checks(only=check_id, params={key: value})
 
 
+def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
+    def hollow(n: int = 0):
+        return verify.VerificationReport("hollow", "nothing", {"n": n}, True,
+                                         searched_bound={"words_checked": n, "note": "x"})
+
+    monkeypatch.setattr(verify, "CHECKS", {"hollow": (hollow, {}, {"n": 0})})
+    with pytest.raises(RuntimeError, match="'hollow' passed having searched nothing"):
+        run_checks()
+    [report] = run_checks(params={"n": 1})
+    assert report.passed
+
+
 def test_every_integer_parameter_has_a_lower_bound():
     for cid, (fn, fixed, minima) in CHECKS.items():
         params = inspect.signature(fn).parameters
