@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .matcher import _match_at, _plan, apply_morphism, x_led
+from .matcher import _match_at, _plan, apply_morphism
 from .patterns import (
     PATTERN_ALPHABET,
     canonical,
@@ -151,8 +151,8 @@ def _compile_end_checker(p: str):
     Returns (per_node, check, anchored).  ``check`` takes a word reversed
     and runs the slot kernel at its start on ``anchored``: p ends at n in w
     exactly when p reversed starts at 0 in w reversed.  ``anchored`` is p
-    reversed in its x-led form (``matcher.x_led``: renaming keeps whether
-    an instance starts at 0).
+    reversed, less its final y slot in a per-node check; ``matcher._plan``
+    compiles its x-led form.
     A per-node predicate runs on a word and decides the fate of all its
     children at once (possible when the pattern ends with its single y slot:
     the gap absorbs any final letter, so only the x-block before it is
@@ -163,7 +163,7 @@ def _compile_end_checker(p: str):
         p, b = iota(2, p), a
     y_at = next((i for i, sym in enumerate(p) if sym in "yY"), None)
     per_node = b == 1 and y_at == len(p) - 1
-    anchored = x_led((p[:-1] if per_node else p)[::-1].swapcase())
+    anchored = (p[:-1] if per_node else p)[::-1].swapcase()
     if b == 0 or per_node:
         factory = _pure_end_check
     elif b >= 2:

@@ -10,11 +10,12 @@ smallest |Y|.
 One slot kernel, ``_match_at``, finds the least instance that starts at a
 given position; the search runs it at each start in turn, and the prover in
 ``engine`` runs it at the start of each reversed node word.  Every scan runs
-on the pattern's x-led form (``x_led``), the only form the kernel prunes:
+on the pattern's x-led form (``x_led``), the only form ``_plan`` compiles:
 renaming keeps where instances start.  The witness is still p's own least
-(start, |X|, |Y|): when the renaming swapped two used variables, p's own
-plan is run once, at the start the scan found.  An only-y pattern's witness
-carries a y assignment and no x assignment.
+(start, |X|, |Y|): when the renaming swapped two used variables, the kernel
+is rerun at the start the scan found with a rising cap on the renamed |Y|,
+which is p's |X|.  An only-y pattern's witness carries a y assignment and no
+x assignment.
 """
 
 from __future__ import annotations
@@ -69,24 +70,23 @@ def apply_morphism(p: str, x: str | None = None, y: str | None = None) -> str:
 
 @lru_cache(maxsize=4096)
 def _plan(p: str) -> tuple:
-    """Compile p, which starts with x or with a y slot, for ``_match_at``.
+    """Compile p's x-led form for ``_match_at``.
 
     ``lead`` counts the x slots before the first y slot and ``lead_rest``
     encodes all of them but the first; ``tail`` holds the (is_x, is_forward)
-    slots from the first y slot on.  ``cut`` is set when p starts with x and
-    x recurs, ``two_sided`` when both x and X occur, and ``pin`` is (length
-    of the first y-run, the x-run after it) when p starts with x and such an
-    x-run exists.
+    slots from the first y slot on.  ``cut`` is set when x recurs,
+    ``two_sided`` when both x and X occur, and ``pin`` is (length of the
+    first y-run, the x-run after it) when such an x-run exists.
     """
+    p = x_led(p)
     a, b = variable_counts(p)
     body = p.lstrip("xX")
     after_y = body.lstrip("yY")
     run_x = after_y[:len(after_y) - len(after_y.lstrip("xX"))]
     lead = len(p) - len(body)
     tail = tuple((sym in "xX", sym in "xy") for sym in body)
-    pin = (len(body) - len(after_y), _run(run_x)) if lead and run_x else None
-    return (a, b, lead, _run(p[1:lead]), tail, lead > 0 and a >= 2, "x" in p and "X" in p,
-            pin)
+    pin = (len(body) - len(after_y), _run(run_x)) if run_x else None
+    return a, b, lead, _run(p[1:lead]), tail, a >= 2, "x" in p and "X" in p, pin
 
 
 def _run(syms: str):
@@ -118,10 +118,10 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
 
     Returns the (x, y) values of that instance, y None for x-only patterns,
     or None when no instance within the bounds starts there.  Two prunings
-    apply when the pattern starts with x.  If x recurs and the length-lx
-    head (or, two-sided, its reversal) occurs nowhere after it, no instance
-    has this or any larger |X|.  Once X is known, the x-run after the first
-    y-run is a fixed string, and each place it occurs fixes |Y|.
+    apply.  If x recurs and the length-lx head (or, two-sided, its reversal)
+    occurs nowhere after it, no instance has this or any larger |X|.  Once X
+    is known, the x-run after the first y-run is a fixed string, and each
+    place it occurs fixes |Y|.
     """
     a, b, lead, lead_rest, tail, cut, two_sided, pin = plan
     room = len(w) - start
@@ -129,20 +129,16 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
     if max_x is not None and max_x < lim_x:
         lim_x = max_x
     for lx in range(1, lim_x + 1):
-        xf = xr = None
-        base = start
-        if lead:
-            xf = w[start:start + lx]
-            if two_sided:
-                xr = xf[::-1]
-            if cut and w.find(xf, start + lx) < 0 and (
-                    xr is None or w.find(xr, start + lx) < 0):
-                return None
-            base = start + lead * lx
-            if lead_rest and w[start + lx:base] != _image(lead_rest, xf, xr):
-                continue
-            if not b:
-                return xf, None
+        xf = w[start:start + lx]
+        xr = xf[::-1] if two_sided else None
+        if cut and w.find(xf, start + lx) < 0 and (
+                xr is None or w.find(xr, start + lx) < 0):
+            return None
+        base = start + lead * lx
+        if lead_rest and w[start + lx:base] != _image(lead_rest, xf, xr):
+            continue
+        if not b:
+            return xf, None
         lim_y = (room - a * lx) // b
         if max_y is not None and max_y < lim_y:
             lim_y = max_y
@@ -153,23 +149,21 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
         else:
             lys = range(1, lim_y + 1)
         for ly in lys:
-            x0, x1, y0, y1 = xf, xr, None, None
+            y0 = y1 = None
             pos = base
             for is_x, fwd in tail:
                 length = lx if is_x else ly
                 seg = w[pos:pos + length]
                 pos += length
                 if is_x:
-                    if x0 is None:
-                        x0, x1 = (seg, seg[::-1]) if fwd else (seg[::-1], seg)
-                    elif seg != (x0 if fwd else x1):
+                    if seg != (xf if fwd else xr):
                         break
                 elif y0 is None:
                     y0, y1 = (seg, seg[::-1]) if fwd else (seg[::-1], seg)
                 elif seg != (y0 if fwd else y1):
                     break
             else:
-                return x0, y0
+                return xf, y0
     return None
 
 
@@ -192,7 +186,7 @@ def _scan(w: str, p: str, max_x: int | None, max_y: int | None):
     data = parse_word(w).encode()  # ASCII, so offsets into data are offsets into w
     if p[0] in "yY":
         max_x, max_y = max_y, max_x
-    plan = _plan(x_led(p))
+    plan = _plan(p)
     for start in range(len(data)):
         found = _match_at(plan, data, start, max_x, max_y)
         if found is not None:
@@ -206,14 +200,17 @@ def _search(w: str, p: str, max_x: int | None, max_y: int | None) -> InstanceWit
         return None
     start, (x, y) = hit
     if p[0] in "yY" and y is not None:
-        # p's least (|X|, |Y|) at this start need not be the renamed form's
-        # least (|Y|, |X|): read it with p's own plan
-        x, y = _match_at(_plan(p), w.encode(), start, max_x, max_y)
-    else:
-        if p[0] in "XY":
-            x = x[::-1]  # the renamed form's x is the reversal of p's first variable
-        if p[0] in "yY":
-            x, y = None, x
+        # p's least (|X|, |Y|) here is the renamed form's least (|Y|, |X|):
+        # the first cap on the renamed |Y| that admits an instance is p's
+        # |X|, and the kernel picks the least renamed |X| for it
+        data, plan, cap = w.encode(), _plan(p), 1
+        while (found := _match_at(plan, data, start, max_y, cap)) is None:
+            cap += 1
+        x, y = found
+    if p[0] in "XY":
+        x = x[::-1]  # the renamed form's x is the reversal of p's first variable
+    if p[0] in "yY":
+        x, y = y, x
     return InstanceWitness(start, x and x.decode(), y and y.decode())
 
 

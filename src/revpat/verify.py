@@ -31,7 +31,7 @@ from .engine import (
     prove_k_unavoidable,
 )
 from .matcher import avoids, find_instance, find_instance_bounded
-from .patterns import canonical, factors, pattern_key
+from .patterns import PATTERN_ALPHABET, canonical, factors, pattern_key
 from .sequences import (
     ALLOWED_SQUARES,
     DEFAULT_LOOKAHEAD,
@@ -67,6 +67,9 @@ UPSILON = frozenset({
     "00001", "10000", "10001",
     "100001",
 })
+
+# The table entries whose context sets the w3 checks examine, shortest first.
+CONTEXT_TABLE = sorted(UPSILON - {"0", "1", "00"}, key=lambda s: (len(s), s))
 
 FORBIDDEN_G_FACTORS = ("220122201", "012220122")
 
@@ -285,7 +288,7 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
 
     # (b) no length-3 context works on both sides of y and its reversal
     violations = {}
-    for y in sorted(UPSILON - {"0", "1", "00"}, key=lambda s: (len(s), s)):
+    for y in CONTEXT_TABLE:
         left, right = _context_sets(w, y)
         if left and right:
             violations[y] = {"left": sorted(left), "right": sorted(right)}
@@ -346,7 +349,7 @@ def vf_w3_contexts_repaired() -> VerificationReport:
     """
     tau, w, _ = _image_window(F3, 3 * 8 + 2 * 6)
     counter = None
-    for y in sorted(UPSILON - {"0", "1", "00"}, key=lambda s: (len(s), s)):
+    for y in CONTEXT_TABLE:
         if y == y[::-1]:
             continue
         left, right = _context_sets(w, y)
@@ -481,7 +484,7 @@ def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
     counter = None
     checked = 0
     for length in range(2, max_len + 1):
-        for tup in product("xXyY", repeat=length):
+        for tup in product(PATTERN_ALPHABET, repeat=length):
             p = "".join(tup)
             checked += 1
             bip = bipartite_check(pattern_graph(p)).is_bipartite
@@ -571,7 +574,7 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
     counter = None
     checked = 0
     for length in range(1, max_len + 1):
-        for tup in product("xXyY", repeat=length):
+        for tup in product(PATTERN_ALPHABET, repeat=length):
             p = "".join(tup)
             checked += 1
             c = canonical(p)
@@ -680,14 +683,14 @@ def vf_image_locality(morphism: str, max_len: int = 30) -> VerificationReport:
 
 def vf_tm_prefix_covering(max_exp: int = 6, big_len: int = 7 * 256) -> VerificationReport:
     """Factors of length 2**e + 1 all occur in the prefix of length 7 * 2**e."""
+    if big_len < 7 << (max_exp + 2):
+        raise ValueError(f"big_len must be at least 7 * 2^(max_exp + 2) = {7 << (max_exp + 2)} "
+                         f"for max_exp={max_exp}, got {big_len}")
     big = thue_morse_prefix(big_len)
     counter = None
     for e in range(max_exp + 1):
         flen = (1 << e) + 1
         window = thue_morse_prefix(7 << e)
-        if big_len < 7 << (e + 2):
-            counter = {"exp": e, "reason": "host prefix too short for the claim"}
-            break
         stray = factor_set(big, flen) - factor_set(window, flen)
         if stray:
             counter = {"exp": e, "factor": sorted(stray)[0]}
@@ -732,32 +735,33 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
 
 # --- registry ---------------------------------------------------------------------
 
-# check id -> (check, fixed parameters, lower bound of each integer
+# check id -> (check, lower bound of each integer
 # parameter); a value below its bound would leave the check with nothing to
 # search (or no defined search), so run_checks rejects it before any check runs.
 # What names the check, such as the morphism of image-locality, is bound into
-# the callable, so no parameter can make one id run another check.
+# the callable, so no parameter can make one id run another check; so is an
+# id's own default, which inspect.signature then reports.
 CHECKS: dict[str, tuple] = {
-    "square-limited": (vf_square_limited, {}, {"n": 1}),
-    "g-avoidance": (vf_g_avoidance, {}, {"n": 4}),
-    "square-limited-xyxyX": (vf_square_limited_xyxyX, {}, {"n": 5}),
-    "w1": (vf_w1, {}, {}),
-    "w2": (vf_w2, {}, {}),
-    "w3": (vf_w3, {}, {"completion_len": 2, "completion_factor_bound": 1}),
-    "w3-contexts-repaired": (vf_w3_contexts_repaired, {}, {}),
-    "w4": (vf_w4, {}, {}),
-    "pigeonhole": (vf_pigeonhole, {}, {"k": 1}),
-    "alternating": (vf_alternating_theorem, {}, {"max_len": 2}),
-    "classifier-oracle": (vf_classifier_oracle, {},
+    "square-limited": (vf_square_limited, {"n": 1}),
+    "g-avoidance": (vf_g_avoidance, {"n": 4}),
+    "square-limited-xyxyX": (vf_square_limited_xyxyX, {"n": 5}),
+    "w1": (vf_w1, {}),
+    "w2": (vf_w2, {}),
+    "w3": (vf_w3, {"completion_len": 2, "completion_factor_bound": 1}),
+    "w3-contexts-repaired": (vf_w3_contexts_repaired, {}),
+    "w4": (vf_w4, {}),
+    "pigeonhole": (vf_pigeonhole, {"k": 1}),
+    "alternating": (vf_alternating_theorem, {"max_len": 2}),
+    "classifier-oracle": (vf_classifier_oracle,
                           {"max_len": 1, "avoider_len": 1, "unavoidable_depth": 1}),
-    "classical-seeds": (vf_classical_seed_avoiders, {},
+    "classical-seeds": (vf_classical_seed_avoiders,
                         {"witness_len": 1, "matcher_prefix": 1, "overlap_prefix": 1}),
-    "image-locality-f1": (partial(vf_image_locality, "f1"), {"max_len": 30}, {"max_len": 1}),
-    "image-locality-f2": (partial(vf_image_locality, "f2"), {"max_len": 30}, {"max_len": 1}),
-    "image-locality-f3": (partial(vf_image_locality, "f3"), {"max_len": 9}, {"max_len": 1}),
-    "image-locality-f4": (partial(vf_image_locality, "f4"), {"max_len": 21}, {"max_len": 1}),
-    "tm-prefix-covering": (vf_tm_prefix_covering, {}, {"max_exp": 0, "big_len": 1}),
-    "tm-desubstitution": (vf_tm_desubstitution, {}, {"prefix_len": 1}),
+    "image-locality-f1": (partial(vf_image_locality, "f1"), {"max_len": 1}),
+    "image-locality-f2": (partial(vf_image_locality, "f2"), {"max_len": 1}),
+    "image-locality-f3": (partial(vf_image_locality, "f3", max_len=9), {"max_len": 1}),
+    "image-locality-f4": (partial(vf_image_locality, "f4", max_len=21), {"max_len": 1}),
+    "tm-prefix-covering": (vf_tm_prefix_covering, {"max_exp": 0, "big_len": 1}),
+    "tm-desubstitution": (vf_tm_desubstitution, {"prefix_len": 1}),
 }
 
 
@@ -797,9 +801,8 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
             raise ValueError(f"{scope} parameter {key!r}")
     calls = {}
     for cid, names in accepted.items():
-        fn, fixed, minima = CHECKS[cid]
-        kwargs = {**fixed, **{k: _typed(k, v, names[k].default)
-                              for k, v in params.items() if k in names}}
+        fn, minima = CHECKS[cid]
+        kwargs = {k: _typed(k, v, names[k].default) for k, v in params.items() if k in names}
         for key, minimum in minima.items():
             if key in kwargs and kwargs[key] < minimum:
                 raise ValueError(f"check {cid!r} needs parameter {key!r} >= {minimum}, "

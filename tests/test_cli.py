@@ -166,6 +166,13 @@ def test_verify_params_take_their_parameter_type(capsys):
     assert "position 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param", ["big_len=100", "max_exp=7"])
+def test_verify_rejects_a_host_prefix_too_short_for_the_claim(param, capsys):
+    # a Thue-Morse host shorter than 7 * 2^(max_exp + 2) cannot test the claim
+    assert run(["verify", "--only", "tm-prefix-covering", "--params", param]) == 2
+    assert "big_len must be at least" in capsys.readouterr().err
+
+
 def test_verify_failure_exits_one(capsys):
     assert run(["verify", "--only", "w3"]) == 1
     assert _out(capsys).startswith("FAIL w3")

@@ -59,6 +59,9 @@ def test_find_instance_examples():
 def test_bounded_search_examples():
     assert find_instance_bounded("0110", "xX", 1, 1) == InstanceWitness(1, "1", None)
     assert find_instance_bounded("010010", "xyx", 1, 2) == InstanceWitness(0, "0", "1")
+    # a y-led pattern is scanned with x and y swapped, bounds included
+    assert find_instance("00100", "yxy") == InstanceWitness(0, "1", "00")
+    assert find_instance_bounded("00100", "yxy", 2, 1) == InstanceWitness(0, "01", "0")
     with pytest.raises(ValueError):
         find_instance_bounded("0", "x", 0, 1)
 
@@ -131,19 +134,25 @@ def _oracle_find(w, p, max_x=None, max_y=None):
 def test_matcher_agrees_with_oracle_on_all_short_patterns():
     # the 30-40 letter words and the length-5 seeds reach the kernel's
     # repeat cutoff and its |Y| pinning at many lengths; the seeds' y-led and
-    # Y-led orbit members are scanned renamed and re-read in their own order
+    # Y-led orbit members are scanned renamed and re-read in their own order,
+    # also under bounds, which cap the renamed form's |Y| by p's |X|
     rng = random.Random(20260810)
     words = [""] + ["".join(rng.choice("012"[:k]) for _ in range(rng.randint(1, 12)))
                     for k in (2, 2, 2, 3, 3) for _ in range(5)]
     words += ["".join(rng.choice("012"[:k]) for _ in range(rng.randint(30, 40)))
               for k in (2, 2, 3, 3)]
     seeds = sorted(s for s in TWO_AVOIDABLE_SEEDS if len(s) == 5)
-    seeds += sorted(q for s in seeds for q in equivalence_class(s) if q[0] in "yY")
-    for p in ALL_PATTERNS_TO_4 + seeds:
+    y_led = sorted(q for s in seeds for q in equivalence_class(s) if q[0] in "yY")
+    for p in ALL_PATTERNS_TO_4 + seeds + y_led:
         for w in words:
             got = find_instance(w, p) if w else None
             want = _oracle_find(w, p) if w else None
             assert got == want, (p, w)
+    for p in y_led:
+        for w in words[1:]:
+            for max_x, max_y in ((1, 1), (1, 3), (3, 1), (2, 4)):
+                got = find_instance_bounded(w, p, max_x, max_y)
+                assert got == _oracle_find(w, p, max_x, max_y), (p, w, max_x, max_y)
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,7 +198,7 @@ def test_bound_restricts_the_search():
 
 
 @pytest.mark.parametrize("p", ["yxYxx", "YxyXy", "yxxY"])
-def test_y_led_scans_run_their_own_plan_once(p, monkeypatch):
+def test_y_led_scans_run_the_kernel_once_per_start(p, monkeypatch):
     # a search witness avoids p; appending an image of p makes an instance
     word = prove_k_unavoidable(p, 2, 200).longest_word
     hit = word + apply_morphism(p, "0", "1")
@@ -197,14 +206,16 @@ def test_y_led_scans_run_their_own_plan_once(p, monkeypatch):
     match_at = matcher._match_at
 
     def spy(plan, w, start, max_x=None, max_y=None):
-        if plan[2] == 0:  # no x slot before the first y slot: p's own plan
-            starts.append(start)
+        starts.append(start)
         return match_at(plan, w, start, max_x, max_y)
 
+    assert not avoids(hit, p)
     monkeypatch.setattr(matcher, "_match_at", spy)
-    assert len(word) == 200 and avoids(word, p) and not avoids(hit, p)
-    assert find_instance(word, p) is None
-    assert starts == []
+    assert len(word) == 200 and avoids(word, p) and find_instance(word, p) is None
+    assert starts == 2 * list(range(200))
+    starts.clear()
     wit = find_instance(hit, p)
-    assert starts == [wit.start]
+    # the scan up to the hit, then only reruns at the start it found
+    scanned = list(range(wit.start + 1))
+    assert starts[:len(scanned)] == scanned and set(starts[len(scanned):]) <= {wit.start}
     assert hit[wit.start:].startswith(witness_image(p, wit))

@@ -95,7 +95,7 @@ def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
         return verify.VerificationReport("hollow", "nothing", {"n": n}, True,
                                          searched_bound={"words_checked": n, "note": "x"})
 
-    monkeypatch.setattr(verify, "CHECKS", {"hollow": (hollow, {}, {"n": 0})})
+    monkeypatch.setattr(verify, "CHECKS", {"hollow": (hollow, {"n": 0})})
     with pytest.raises(RuntimeError, match="'hollow' passed having searched nothing"):
         run_checks()
     [report] = run_checks(params={"n": 1})
@@ -103,11 +103,11 @@ def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
 
 
 def test_every_integer_parameter_has_a_lower_bound():
-    for cid, (fn, fixed, minima) in CHECKS.items():
+    for cid, (fn, minima) in CHECKS.items():
         params = inspect.signature(fn).parameters
         assert set(minima) == {k for k, q in params.items() if isinstance(q.default, int)}, cid
         for key, minimum in minima.items():
-            assert fixed.get(key, params[key].default) >= minimum, (cid, key)
+            assert params[key].default >= minimum, (cid, key)
 
 
 def test_reports_are_deterministic_and_json_clean():
