@@ -104,28 +104,24 @@ def run(argv: list[str]) -> int:
 
 def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
     if args.command == "classify":
-        p = patterns.parse_pattern(args.pattern)
-        index = engine.classify(p)
-        _emit({"pattern": p, "avoidability_index": index.value}, as_json,
+        index = engine.classify(args.pattern)
+        _emit({"pattern": args.pattern, "avoidability_index": index.value}, as_json,
               str(index.value))
         return 0
 
     if args.command == "canon":
-        p = patterns.parse_pattern(args.pattern)
-        c = patterns.canonical(p)
-        _emit({"pattern": p, "canonical": c}, as_json, c)
+        c = patterns.canonical(args.pattern)
+        _emit({"pattern": args.pattern, "canonical": c}, as_json, c)
         return 0
 
     if args.command == "class":
-        p = patterns.parse_pattern(args.pattern)
-        members = patterns.sorted_patterns(patterns.equivalence_class(p))
-        _emit({"pattern": p, "members": members}, as_json, "\n".join(members))
+        members = patterns.sorted_patterns(patterns.equivalence_class(args.pattern))
+        _emit({"pattern": args.pattern, "members": members}, as_json, "\n".join(members))
         return 0
 
     if args.command == "graph":
-        p = patterns.parse_pattern(args.pattern)
-        g = engine.pattern_graph(p)
-        payload: dict = {"pattern": p, "vertices": list(g.vertices),
+        g = engine.pattern_graph(args.pattern)
+        payload: dict = {"pattern": args.pattern, "vertices": list(g.vertices),
                          "edges": [list(e) for e in g.edges]}
         lines = [" -- ".join(e) for e in g.edges] or ["(no edges)"]
         if args.check_bipartite:
@@ -143,19 +139,13 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
         return 0
 
     if args.command == "generate":
-        if args.length < 0:
-            raise ValueError("--length must be non-negative")
         word = sequences.sequence_prefix(args.sequence, args.length)
         _emit({"sequence": args.sequence, "length": args.length,
                "lookahead": sequences.DEFAULT_LOOKAHEAD, "word": word}, as_json, word)
         return 0
 
     if args.command == "search":
-        p = patterns.parse_pattern(args.pattern)
-        if not p:
-            raise ValueError("search needs a non-empty pattern")
-        if args.target_length < 1:
-            raise ValueError("--target-length must be positive")
+        p = args.pattern
         report = engine.prove_k_unavoidable(p, args.alphabet, args.target_length,
                                             args.max_nodes)
         payload = report.as_dict()

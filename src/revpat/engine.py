@@ -30,6 +30,7 @@ from .patterns import (
     equivalence_class,
     factors,
     iota,
+    parse_pattern,
     pattern_key,
     reverse_mark,
     variable_counts,
@@ -62,11 +63,15 @@ THREE_AVOIDABLE_SEEDS: frozenset[str] = frozenset({"xx", "xyxy", "xyxY", "xyXY"}
 UNAVOIDABLE_CANONICAL: frozenset[str] = frozenset({"", "x", "xy", "xyx", "xyX"})
 
 
+def _has_two_avoidable_factor(p: str) -> bool:
+    return any(canonical(u) in TWO_AVOIDABLE_SEEDS for u in factors(p))
+
+
 def classify(p: str) -> Avoidability:
     """Avoidability index of a pattern (the empty pattern is unavoidable)."""
     if canonical(p) in UNAVOIDABLE_CANONICAL:
         return Avoidability.UNAVOIDABLE
-    if any(canonical(u) in TWO_AVOIDABLE_SEEDS for u in factors(p)):
+    if _has_two_avoidable_factor(p):
         return Avoidability.TWO
     return Avoidability.THREE
 
@@ -90,7 +95,7 @@ def seed_free_patterns(n: int) -> frozenset[str]:
                 q = r + sym
                 if q in out or canonical(q) != q:
                     continue
-                if all(canonical(u) not in TWO_AVOIDABLE_SEEDS for u in factors(q)):
+                if not _has_two_avoidable_factor(q):
                     out.add(q)
     return frozenset(out)
 
@@ -185,7 +190,7 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
     With a ``max_nodes`` budget the search visits at most that many nodes;
     a search that would need more returns an ``inconclusive`` report.
     """
-    if not p:
+    if not parse_pattern(p):
         raise ValueError("the empty pattern has no instances; classify it directly")
     if not 1 <= k <= 4:
         raise ValueError(f"alphabet size must be between 1 and 4, got {k}")
@@ -241,15 +246,13 @@ class PatternGraph:
     """
 
     edges: tuple[tuple[str, str], ...]
-    vertices: tuple[str, ...] = ("x", "X", "y", "Y")
+    vertices: tuple[str, ...] = tuple(PATTERN_ALPHABET)
 
 
 def pattern_graph(p: str) -> PatternGraph:
-    edges = []
-    for i in range(len(p) - 1):
-        u, v = reverse_mark(p[i]), p[i + 1]
-        edges.append(tuple(sorted((u, v), key=pattern_key)))
-    return PatternGraph(edges=tuple(edges))
+    parse_pattern(p)
+    return PatternGraph(edges=tuple(tuple(sorted((reverse_mark(a), b), key=pattern_key))
+                                    for a, b in zip(p, p[1:])))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .patterns import iota, variable_counts
+from .patterns import iota, parse_pattern, variable_counts
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def apply_morphism(p: str, x: str | None = None, y: str | None = None) -> str:
     Images must be non-empty for every variable the pattern actually uses
     (the morphism is non-erasing).
     """
-    a, b = variable_counts(p)
+    a, b = variable_counts(parse_pattern(p))
     if a and not x:
         raise ValueError("pattern uses variable x but no non-empty x image was given")
     if b and not y:
@@ -78,7 +78,7 @@ def _plan(p: str) -> tuple:
     ``two_sided`` when both x and X occur, and ``pin`` is (length of the
     first y-run, the x-run after it) when such an x-run exists.
     """
-    p = x_led(p)
+    p = x_led(parse_pattern(p))
     a, b = variable_counts(p)
     body = p.lstrip("xX")
     after_y = body.lstrip("yY")

@@ -66,7 +66,7 @@ def variable_counts(p: str) -> tuple[int, int]:
 @lru_cache(maxsize=1 << 16)
 def equivalence_class(p: str) -> frozenset[str]:
     """Closure of {p} under the three involutions (breadth-first)."""
-    seen = {p}
+    seen = {parse_pattern(p)}
     frontier = [p]
     while frontier:
         nxt = []

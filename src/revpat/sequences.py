@@ -279,6 +279,4 @@ def sequence_prefix(seq_id: str, n: int) -> str:
     """Length-n prefix of one of the named sequences."""
     if seq_id not in _PREFIXES:
         raise ValueError(f"unknown sequence id {seq_id!r}; expected one of {', '.join(SEQUENCE_IDS)}")
-    if n < 0:
-        raise ValueError("prefix length must be non-negative")
     return _PREFIXES[seq_id](n)

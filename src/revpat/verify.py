@@ -19,6 +19,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import product
+from math import inf
 
 from .engine import (
     Avoidability,
@@ -453,8 +454,6 @@ def vf_w4() -> VerificationReport:
 
 def vf_pigeonhole(k: int = 2) -> VerificationReport:
     """Every word of length 2k+1 over k letters contains xyx and xyX."""
-    if not 1 <= k <= 3:
-        raise ValueError("pigeonhole check supports alphabets of size 1..3")
     length = 2 * k + 1
     counter = None
     digits = "".join(str(d) for d in range(k))
@@ -566,8 +565,6 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
     ``prove_nodes`` counts the nodes of every search, factor searches
     included, each distinct (pattern, alphabet) search once.
     """
-    if not 1 <= max_len <= 5:
-        raise ValueError("the oracle sweep supports pattern lengths 1..5")
     searches: dict[tuple[str, int], BacktrackReport] = {}
     verdicts: dict[str, tuple] = {}
     witness_factors: dict[str, str] = {}
@@ -682,15 +679,12 @@ def vf_image_locality(morphism: str, max_len: int = 30) -> VerificationReport:
 
 
 def vf_tm_prefix_covering(max_exp: int = 6, big_len: int = 7 * 256) -> VerificationReport:
-    """Factors of length 2**e + 1 all occur in the prefix of length 7 * 2**e."""
-    if big_len < 7 << (max_exp + 2):
-        raise ValueError(f"big_len must be at least 7 * 2^(max_exp + 2) = {7 << (max_exp + 2)} "
-                         f"for max_exp={max_exp}, got {big_len}")
+    """Factors of length 2**e + 1 all occur in their covering prefix, of length 7 * 2**e."""
     big = thue_morse_prefix(big_len)
     counter = None
     for e in range(max_exp + 1):
         flen = (1 << e) + 1
-        window = thue_morse_prefix(7 << e)
+        window = thue_morse_prefix(covering_prefix_length(flen))
         stray = factor_set(big, flen) - factor_set(window, flen)
         if stray:
             counter = {"exp": e, "factor": sorted(stray)[0]}
@@ -735,33 +729,42 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
 
 # --- registry ---------------------------------------------------------------------
 
-# check id -> (check, lower bound of each integer
-# parameter); a value below its bound would leave the check with nothing to
-# search (or no defined search), so run_checks rejects it before any check runs.
-# What names the check, such as the morphism of image-locality, is bound into
-# the callable, so no parameter can make one id run another check; so is an
-# id's own default, which inspect.signature then reports.
+def _host_covers_claim(max_exp: int, big_len: int) -> None:
+    """A tm-prefix-covering host shorter than the covering prefix of factors
+    four times as long as the longest claimed ones cannot test the claim."""
+    if big_len < (least := covering_prefix_length((1 << (max_exp + 2)) + 1)):
+        raise ValueError(f"big_len must be at least 7 * 2^(max_exp + 2) = {least} "
+                         f"for max_exp={max_exp}, got {big_len}")
+
+
+# check id -> (check, range (least, greatest) of each integer parameter, then any
+# relation among its parameters).  A value outside its range would leave the check
+# nothing to search, or a search it does not define: run_checks rejects it, and calls
+# each relation, before any check runs.  What names the check, such as the morphism
+# of image-locality, is bound into the callable, so no parameter can make one id run
+# another check; so is an id's own default, which inspect.signature then reports.
 CHECKS: dict[str, tuple] = {
-    "square-limited": (vf_square_limited, {"n": 1}),
-    "g-avoidance": (vf_g_avoidance, {"n": 4}),
-    "square-limited-xyxyX": (vf_square_limited_xyxyX, {"n": 5}),
+    "square-limited": (vf_square_limited, {"n": (1, inf)}),
+    "g-avoidance": (vf_g_avoidance, {"n": (4, inf)}),
+    "square-limited-xyxyX": (vf_square_limited_xyxyX, {"n": (5, inf)}),
     "w1": (vf_w1, {}),
     "w2": (vf_w2, {}),
-    "w3": (vf_w3, {"completion_len": 2, "completion_factor_bound": 1}),
+    "w3": (vf_w3, {"completion_len": (2, inf), "completion_factor_bound": (1, inf)}),
     "w3-contexts-repaired": (vf_w3_contexts_repaired, {}),
     "w4": (vf_w4, {}),
-    "pigeonhole": (vf_pigeonhole, {"k": 1}),
-    "alternating": (vf_alternating_theorem, {"max_len": 2}),
-    "classifier-oracle": (vf_classifier_oracle,
-                          {"max_len": 1, "avoider_len": 1, "unavoidable_depth": 1}),
-    "classical-seeds": (vf_classical_seed_avoiders,
-                        {"witness_len": 1, "matcher_prefix": 1, "overlap_prefix": 1}),
-    "image-locality-f1": (partial(vf_image_locality, "f1"), {"max_len": 1}),
-    "image-locality-f2": (partial(vf_image_locality, "f2"), {"max_len": 1}),
-    "image-locality-f3": (partial(vf_image_locality, "f3", max_len=9), {"max_len": 1}),
-    "image-locality-f4": (partial(vf_image_locality, "f4", max_len=21), {"max_len": 1}),
-    "tm-prefix-covering": (vf_tm_prefix_covering, {"max_exp": 0, "big_len": 1}),
-    "tm-desubstitution": (vf_tm_desubstitution, {"prefix_len": 1}),
+    "pigeonhole": (vf_pigeonhole, {"k": (1, 3)}),
+    "alternating": (vf_alternating_theorem, {"max_len": (2, inf)}),
+    "classifier-oracle": (vf_classifier_oracle, {
+        "max_len": (1, 5), "avoider_len": (1, inf), "unavoidable_depth": (1, inf)}),
+    "classical-seeds": (vf_classical_seed_avoiders, {
+        "witness_len": (1, inf), "matcher_prefix": (1, inf), "overlap_prefix": (1, inf)}),
+    "image-locality-f1": (partial(vf_image_locality, "f1"), {"max_len": (1, inf)}),
+    "image-locality-f2": (partial(vf_image_locality, "f2"), {"max_len": (1, inf)}),
+    "image-locality-f3": (partial(vf_image_locality, "f3", max_len=9), {"max_len": (1, inf)}),
+    "image-locality-f4": (partial(vf_image_locality, "f4", max_len=21), {"max_len": (1, inf)}),
+    "tm-prefix-covering": (vf_tm_prefix_covering, {"max_exp": (0, inf), "big_len": (1, inf)},
+                           _host_covers_claim),
+    "tm-desubstitution": (vf_tm_desubstitution, {"prefix_len": (1, inf)}),
 }
 
 
@@ -781,8 +784,9 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
     Each selected check receives just the parameters its signature accepts,
     a string value (as the CLI passes) converted by ``int()`` where the
     parameter's default is an int; a parameter that no selected check accepts,
-    a string there that ``int()`` rejects, or a value below the check's
-    declared lower bound for it is an error, raised before any check runs.
+    a string there that ``int()`` rejects, a value outside the check's
+    declared range for it, or values that break a relation the check declares
+    among its parameters, is an error, raised before any check runs.
     A report that passed with every integer count in its ``searched_bound``
     at zero searched nothing, and raises RuntimeError.
     This is the one place a check is timed: each report's ``elapsed`` is set
@@ -801,12 +805,16 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
             raise ValueError(f"{scope} parameter {key!r}")
     calls = {}
     for cid, names in accepted.items():
-        fn, minima = CHECKS[cid]
+        fn, ranges, *relations = CHECKS[cid]
         kwargs = {k: _typed(k, v, names[k].default) for k, v in params.items() if k in names}
-        for key, minimum in minima.items():
-            if key in kwargs and kwargs[key] < minimum:
-                raise ValueError(f"check {cid!r} needs parameter {key!r} >= {minimum}, "
-                                 f"got {kwargs[key]!r}")
+        values = {k: q.default for k, q in names.items()} | kwargs
+        for key, (least, greatest) in ranges.items():
+            if not least <= values[key] <= greatest:
+                bound = f">= {least}" if values[key] < least else f"<= {greatest}"
+                raise ValueError(f"check {cid!r} needs parameter {key!r} {bound}, "
+                                 f"got {values[key]!r}")
+        for relation in relations:
+            relation(**values)
         calls[cid] = fn, kwargs
     reports = []
     for cid, (fn, kwargs) in calls.items():

@@ -188,6 +188,19 @@ def test_malformed_pattern_is_a_usage_error(capsys):
     assert "error" in json.loads(_out(capsys))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "thue-morse", "--length", "-1"], "non-negative"),
+    (["search", "", "--alphabet", "2", "--target-length", "5"], "empty pattern"),
+    (["search", "xx", "--alphabet", "2", "--target-length", "0"], "depth limit"),
+    (["graph", "xq"], "'q' at position 1"),
+])
+def test_a_library_value_error_is_a_usage_error(argv, message, capsys):
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert run(["--json", *argv]) == 2
+    assert message in json.loads(_out(capsys))["error"]
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["generate", "thue-morse"]) == 2  # missing --length
 

@@ -1,8 +1,18 @@
+import re
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from revpat.engine import classify, instance_in_alternating, pattern_graph, prove_k_unavoidable
+from revpat.matcher import (
+    InstanceWitness,
+    apply_morphism,
+    avoids,
+    find_instance,
+    find_instance_bounded,
+    witness_image,
+)
 from revpat.patterns import (
     PATTERN_ALPHABET,
     canonical,
@@ -28,6 +38,30 @@ def test_parse_accepts_the_four_symbols():
 def test_parse_rejects_and_names_the_position():
     with pytest.raises(ValueError, match="position 2"):
         parse_pattern("xyzzY")
+
+
+# every public function that answers a question about a pattern, applied to one
+PATTERN_QUESTIONS = {
+    "classify": classify,
+    "canonical": canonical,
+    "equivalence_class": equivalence_class,
+    "find_instance": lambda p: find_instance("0101", p),
+    "find_instance_bounded": lambda p: find_instance_bounded("0101", p, 2, 2),
+    "avoids": lambda p: avoids("0000", p),
+    "apply_morphism": lambda p: apply_morphism(p, "0", "1"),
+    "witness_image": lambda p: witness_image(p, InstanceWitness(0, "0", "1")),
+    "prove_k_unavoidable": lambda p: prove_k_unavoidable(p, 2, 10),
+    "pattern_graph": pattern_graph,
+    "instance_in_alternating": instance_in_alternating,
+}
+
+
+@pytest.mark.parametrize("text, symbol, position", [("xq", "q", 1), ("x y", " ", 1),
+                                                     ("aa", "a", 0)])
+@pytest.mark.parametrize("question", PATTERN_QUESTIONS)
+def test_every_pattern_question_rejects_a_foreign_symbol(question, text, symbol, position):
+    with pytest.raises(ValueError, match=re.escape(f"symbol {symbol!r} at position {position}")):
+        PATTERN_QUESTIONS[question](text)
 
 
 def test_reverse_mark_swaps_partners():

@@ -1,13 +1,21 @@
+import functools
 import inspect
 import json
 import random
+from math import inf
 
 import pytest
 
 from revpat import engine, verify
 from revpat.matcher import apply_morphism, find_instance
 from revpat.patterns import canonical, factors
-from revpat.sequences import F2, F4, apply_binary_morphism, thue_morse_prefix
+from revpat.sequences import (
+    F2,
+    F4,
+    apply_binary_morphism,
+    covering_prefix_length,
+    thue_morse_prefix,
+)
 from revpat.verify import (
     CHECKS,
     UPSILON,
@@ -95,19 +103,55 @@ def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
         return verify.VerificationReport("hollow", "nothing", {"n": n}, True,
                                          searched_bound={"words_checked": n, "note": "x"})
 
-    monkeypatch.setattr(verify, "CHECKS", {"hollow": (hollow, {"n": 0})})
+    monkeypatch.setattr(verify, "CHECKS", {"hollow": (hollow, {"n": (0, inf)})})
     with pytest.raises(RuntimeError, match="'hollow' passed having searched nothing"):
         run_checks()
     [report] = run_checks(params={"n": 1})
     assert report.passed
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"k": 4}, "'k' <= 3, got 4"),
+    ({"max_len": 6}, "'max_len' <= 5, got 6"),
+    ({"max_exp": 7}, "big_len must be at least .* = 3584 for max_exp=7, got 1792"),
+    ({"big_len": 100}, "big_len must be at least .* got 100"),
+], ids=["k=4", "max_len=6", "max_exp=7", "big_len=100"])
+def test_run_checks_rejects_a_bad_value_before_any_check_runs(params, message, monkeypatch):
+    called = []
+
+    def spy(cid, fn):
+        @functools.wraps(fn)  # inspect.signature follows __wrapped__ to fn
+        def check(**kwargs):
+            called.append(cid)
+            return fn(**kwargs)
+        return check
+
+    monkeypatch.setattr(verify, "CHECKS", {cid: (spy(cid, fn), *rest)
+                                           for cid, (fn, *rest) in CHECKS.items()})
+    with pytest.raises(ValueError, match=message):
+        run_checks(params=params)
+    assert called == []
+
+
 def test_every_integer_parameter_has_a_lower_bound():
-    for cid, (fn, minima) in CHECKS.items():
+    for cid, (fn, ranges, *relations) in CHECKS.items():
         params = inspect.signature(fn).parameters
-        assert set(minima) == {k for k, q in params.items() if isinstance(q.default, int)}, cid
-        for key, minimum in minima.items():
+        assert set(ranges) == {k for k, q in params.items() if isinstance(q.default, int)}, cid
+        for key, (minimum, maximum) in ranges.items():
+            assert type(minimum) is int, (cid, key)
             assert params[key].default >= minimum, (cid, key)
+            assert params[key].default <= maximum, (cid, key)
+        for relation in relations:
+            relation(**{k: q.default for k, q in params.items()})
+
+
+def test_tm_prefix_covering_certifies_covering_prefix_length(monkeypatch):
+    # a covering rule one letter block short misses 00, which first ends at letter 7
+    monkeypatch.setattr(verify, "covering_prefix_length",
+                        lambda factor_len: covering_prefix_length(factor_len) // 7 * 6)
+    [report] = run_checks(only="tm-prefix-covering")
+    assert not report.passed
+    assert report.counterexample == {"exp": 0, "factor": "00"}
 
 
 def test_reports_are_deterministic_and_json_clean():
