@@ -30,6 +30,7 @@ from .patterns import (
     equivalence_class,
     factors,
     iota,
+    nonempty_pattern,
     parse_pattern,
     pattern_key,
     reverse_mark,
@@ -128,36 +129,40 @@ class BacktrackReport:
 
 # Each factory names one kind of end check; the perfbench harness reads a
 # checker's shape back from its __qualname__ and the per-node flag, so four
-# factories cover five shapes.  All four run the same kernel.
+# factories cover five shapes.  All four run the same kernel on a reversed
+# node word and its floor.
 
 def _pure_end_check(plan: tuple):
     """The pattern uses only x and X slots."""
-    return lambda rword: _match_at(plan, rword, 0) is not None
+    return lambda rword, floor: _match_at(plan, rword, 0, None, None, floor) is not None
 
 
 def _gap_then_block_check(plan: tuple):
     """A single y slot followed by an x-only block."""
-    return lambda rword: _match_at(plan, rword, 0) is not None
+    return lambda rword, floor: _match_at(plan, rword, 0, None, None, floor) is not None
 
 
 def _block_gap_block_check(plan: tuple):
     """An x-only block, a single y slot, another x-only block."""
-    return lambda rword: _match_at(plan, rword, 0) is not None
+    return lambda rword, floor: _match_at(plan, rword, 0, None, None, floor) is not None
 
 
 def _general_end_check(plan: tuple):
     """Each variable occurs at least twice."""
-    return lambda rword: _match_at(plan, rword, 0) is not None
+    return lambda rword, floor: _match_at(plan, rword, 0, None, None, floor) is not None
 
 
 def _compile_end_checker(p: str):
     """Build the does-an-instance-end-here predicate for p.
 
     Returns (per_node, check, anchored).  ``check`` takes a word reversed
-    and runs the slot kernel at its start on ``anchored``: p ends at n in w
-    exactly when p reversed starts at 0 in w reversed.  ``anchored`` is p
-    reversed, less its final y slot in a per-node check; ``matcher._plan``
-    compiles its x-led form.
+    and its floor, and runs the slot kernel at its start on ``anchored``: p
+    ends at n in w exactly when p reversed starts at 0 in w reversed.
+    ``anchored`` is p reversed, less its final y slot in a per-node check;
+    ``matcher._plan`` compiles its x-led form.  The floor is the length of a
+    prefix of the reversed word that recurs further on, where no instance of
+    ``anchored`` starts (each shorter node word on the path passed the same
+    check), so the kernel skips instances no longer than it.
     A per-node predicate runs on a word and decides the fate of all its
     children at once (possible when the pattern ends with its single y slot:
     the gap absorbs any final letter, so only the x-block before it is
@@ -187,11 +192,12 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
     Children are tried in letter order, and the first letter is fixed to 0:
     avoidance is invariant under alphabet permutations.  Node words are kept
     reversed, so that every end check runs the slot kernel at their start.
+    A node's floor is its parent's plus one when that prefix of the node
+    word recurs after its first letter, else 0.
     With a ``max_nodes`` budget the search visits at most that many nodes;
     a search that would need more returns an ``inconclusive`` report.
     """
-    if not parse_pattern(p):
-        raise ValueError("the empty pattern has no instances; classify it directly")
+    nonempty_pattern(p)
     if not 1 <= k <= 4:
         raise ValueError(f"alphabet size must be between 1 and 4, got {k}")
     if depth_limit < 1:
@@ -207,12 +213,14 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
     nodes = 0
     stack = [0]
     rwords = [b""]  # the path's node words, each reversed
+    floors = [0]  # for each, the length of a prefix that recurs in it
 
     while stack:
         idx = stack[-1]
         if idx >= (1 if len(stack) == 1 else k):
             stack.pop()
             rwords.pop()
+            floors.pop()
             continue
         if nodes == budget:
             return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest,
@@ -220,16 +228,20 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
         stack[-1] += 1
         nodes += 1
         rword = letters[idx] + rwords[-1]
-        if not per_node and check(rword):
+        floor = floors[-1] + 1
+        if rword.find(rword[:floor], 1) < 0:
+            floor = 0
+        if not per_node and check(rword, floor):
             continue
         n = len(rword)
         if n > len(longest):
             longest = rword[::-1].decode()
         if n >= depth_limit:
             return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest)
-        if per_node and check(rword):
+        if per_node and check(rword, floor):
             continue  # every child of rword contains p
         rwords.append(rword)
+        floors.append(floor)
         stack.append(0)
 
     return BacktrackReport(p, k, depth_limit, True, nodes, len(longest), longest)
@@ -320,9 +332,7 @@ def instance_in_alternating(p: str) -> tuple[str | None, str | None] | None:
     coloring (each is the shortest word from the variable's color to its
     reversed slot's color, so one or two letters); otherwise returns None.
     """
-    if not p:
-        raise ValueError("the empty pattern has no instances; classify it directly")
-    result = bipartite_check(pattern_graph(p))
+    result = bipartite_check(pattern_graph(nonempty_pattern(p)))
     if result.coloring is None:
         return None
     c = result.coloring

@@ -9,13 +9,18 @@ smallest |Y|.
 
 One slot kernel, ``_match_at``, finds the least instance that starts at a
 given position; the search runs it at each start in turn, and the prover in
-``engine`` runs it at the start of each reversed node word.  Every scan runs
-on the pattern's x-led form (``x_led``), the only form ``_plan`` compiles:
-renaming keeps where instances start.  The witness is still p's own least
-(start, |X|, |Y|): when the renaming swapped two used variables, the kernel
-is rerun at the start the scan found with a rising cap on the renamed |Y|,
-which is p's |X|.  An only-y pattern's witness carries a y assignment and no
-x assignment.
+``engine`` runs it at the start of each reversed node word.  Each caller
+passes a floor: the length of a prefix of the word from that start which
+also occurs at a start already ruled out (an earlier start in a scan, which
+takes the longest such prefix; a later one in the prover's reversed word).
+An instance no longer than the floor would start there too, so the kernel
+skips it, and a scan stops once the whole rest of the word occurs earlier.
+Every scan runs on the pattern's x-led form (``x_led``), the only form
+``_plan`` compiles: renaming keeps where instances start.  The witness is
+still p's own least (start, |X|, |Y|): when the renaming swapped two used
+variables, the kernel is rerun at the start the scan found with a rising cap
+on the renamed |Y|, which is p's |X|.  An only-y pattern's witness carries a
+y assignment and no x assignment.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .patterns import iota, parse_pattern, variable_counts
+from .patterns import iota, nonempty_pattern, parse_pattern, variable_counts
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,10 @@ def _image(run, fwd: bytes, rev: bytes | None) -> bytes:
     return b"".join([fwd if f else rev for f in run])
 
 
-def _pinned(w: bytes, t: bytes, base: int, run_y: int, end: int):
-    """|Y| values placing the fixed x-run t right after run_y y slots that
-    begin at base, in ascending order."""
-    q = w.find(t, base + run_y, end)
+def _pinned(w: bytes, t: bytes, base: int, run_y: int, low: int, end: int):
+    """|Y| values of at least low placing the fixed x-run t right after run_y
+    y slots that begin at base, in ascending order."""
+    q = w.find(t, base + run_y * low, end)
     while q >= 0:
         if (q - base) % run_y == 0:
             yield (q - base) // run_y
@@ -113,22 +118,25 @@ def _pinned(w: bytes, t: bytes, base: int, run_y: int, end: int):
 
 
 def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
-              max_y: int | None = None) -> tuple[bytes, bytes | None] | None:
-    """Least (|X|, |Y|) instance of a planned pattern starting at ``start``.
+              max_y: int | None = None, floor: int = 0) -> tuple[bytes, bytes | None] | None:
+    """Least (|X|, |Y|) instance of a planned pattern starting at ``start``
+    and longer than ``floor``.
 
     Returns the (x, y) values of that instance, y None for x-only patterns,
-    or None when no instance within the bounds starts there.  Two prunings
-    apply.  If x recurs and the length-lx head (or, two-sided, its reversal)
-    occurs nowhere after it, no instance has this or any larger |X|.  Once X
-    is known, the x-run after the first y-run is a fixed string, and each
-    place it occurs fixes |Y|.
+    or None when no such instance within the bounds starts there.  Three
+    prunings apply.  If x recurs and the length-lx head (or, two-sided, its
+    reversal) occurs nowhere after it, no instance has this or any larger
+    |X|.  Once X is known, the x-run after the first y-run is a fixed
+    string, and each place it occurs fixes |Y|.  Every (|X|, |Y|) with
+    a|X| + b|Y| <= floor is skipped: the caller passes a floor only when
+    such an instance would also start at a place it has ruled out.
     """
     a, b, lead, lead_rest, tail, cut, two_sided, pin = plan
     room = len(w) - start
     lim_x = (room - b) // a
     if max_x is not None and max_x < lim_x:
         lim_x = max_x
-    for lx in range(1, lim_x + 1):
+    for lx in range(1 if b else floor // a + 1, lim_x + 1):
         xf = w[start:start + lx]
         xr = xf[::-1] if two_sided else None
         if cut and w.find(xf, start + lx) < 0 and (
@@ -142,12 +150,13 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
         lim_y = (room - a * lx) // b
         if max_y is not None and max_y < lim_y:
             lim_y = max_y
+        low = max(1, (floor - a * lx) // b + 1)
         if pin:
             run_y, run_x = pin
             t = _image(run_x, xf, xr)
-            lys = _pinned(w, t, base, run_y, base + run_y * lim_y + len(t))
+            lys = _pinned(w, t, base, run_y, low, base + run_y * lim_y + len(t))
         else:
-            lys = range(1, lim_y + 1)
+            lys = range(low, lim_y + 1)
         for ly in lys:
             y0 = y1 = None
             pos = base
@@ -180,15 +189,26 @@ def x_led(p: str) -> str:
 def _scan(w: str, p: str, max_x: int | None, max_y: int | None):
     """(start, (x, y)) of the first instance of p in w, scanned in p's x-led
     form: x and y are that form's values, least in its (|X|, |Y|) order.
-    None when w avoids p within the bounds."""
-    if not p:
-        raise ValueError("the empty pattern has no instances; classify it directly")
+    None when w avoids p within the bounds.
+
+    The floor at a start is the longest prefix of the rest of w that occurs
+    at an earlier start, where no instance within the bounds starts; it
+    drops by at most one from each start to the next.
+    """
+    plan = _plan(nonempty_pattern(p))
     data = parse_word(w).encode()  # ASCII, so offsets into data are offsets into w
     if p[0] in "yY":
         max_x, max_y = max_y, max_x
-    plan = _plan(p)
-    for start in range(len(data)):
-        found = _match_at(plan, data, start, max_x, max_y)
+    n = len(data)
+    floor = 0
+    for start in range(n):
+        if floor:
+            floor -= 1
+        while start + floor < n and data.find(data[start:start + floor + 1], 0, start + floor) >= 0:
+            floor += 1
+        if start + floor == n:
+            return None  # every later factor occurs earlier
+        found = _match_at(plan, data, start, max_x, max_y, floor)
         if found is not None:
             return start, found
     return None

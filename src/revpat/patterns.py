@@ -35,6 +35,13 @@ def parse_pattern(text: str) -> str:
     return text
 
 
+def nonempty_pattern(text: str) -> str:
+    """Validate pattern text that must have instances to look for."""
+    if not parse_pattern(text):
+        raise ValueError("the empty pattern has no instances; classify it directly")
+    return text
+
+
 def reverse_mark(symbol: str) -> str:
     """Swap a symbol with its reversed-slot partner: x<->X, y<->Y."""
     if symbol not in _SYMBOL_RANK:

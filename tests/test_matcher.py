@@ -16,7 +16,7 @@ from revpat.matcher import (
     witness_image,
 )
 from revpat.patterns import PATTERN_ALPHABET, equivalence_class, iota, variable_counts
-from revpat.sequences import alternating_prefix
+from revpat.sequences import alternating_prefix, thue_morse_prefix
 
 ALL_PATTERNS_TO_4 = ["".join(t) for n in range(1, 5)
                      for t in product(PATTERN_ALPHABET, repeat=n)]
@@ -105,42 +105,47 @@ def test_y_only_patterns_report_y_assignments():
 
 
 def _oracle_find(w, p, max_x=None, max_y=None):
-    """Direct enumeration of (start, |X|, |Y|) with apply_morphism as the
-    only reconstruction step; independent of the matcher's slot logic."""
+    """Direct enumeration of (start, |X|, |Y|): each slot's letters, read
+    backwards in an uppercase slot, must equal its variable's first value;
+    independent of the matcher's slot logic."""
     a, b = variable_counts(p)
     n = len(w)
     for start in range(n):
         for lx in (range(1, min(n, max_x or n) + 1) if a else (0,)):
             for ly in (range(1, min(n, max_y or n) + 1) if b else (0,)):
-                total = a * lx + b * ly
-                if total == 0 or start + total > n:
-                    continue
-                x_val = y_val = None
+                if start + a * lx + b * ly > n:
+                    break  # a longer |Y| overruns the word too
+                values = {}
                 pos = start
                 for sym in p:
                     length = lx if sym in "xX" else ly
                     seg = w[pos:pos + length]
-                    if sym in "xX" and x_val is None:
-                        x_val = seg if sym == "x" else seg[::-1]
-                    if sym in "yY" and y_val is None:
-                        y_val = seg if sym == "y" else seg[::-1]
                     pos += length
-                if apply_morphism(p, x_val, y_val) == w[start:start + total]:
-                    return InstanceWitness(start, x_val if a else None,
-                                           y_val if b else None)
+                    if sym in "XY":
+                        seg = seg[::-1]
+                    if values.setdefault(sym.lower(), seg) != seg:
+                        break
+                else:
+                    return InstanceWitness(start, values.get("x"), values.get("y"))
     return None
 
 
 def test_matcher_agrees_with_oracle_on_all_short_patterns():
     # the 30-40 letter words and the length-5 seeds reach the kernel's
-    # repeat cutoff and its |Y| pinning at many lengths; the seeds' y-led and
-    # Y-led orbit members are scanned renamed and re-read in their own order,
-    # also under bounds, which cap the renamed form's |Y| by p's |X|
+    # repeat cutoff, its |Y| pinning and its floor at many lengths; the
+    # seeds' y-led and Y-led orbit members are scanned renamed and re-read in
+    # their own order, also under bounds, which cap the renamed form's |Y| by
+    # p's |X|
     rng = random.Random(20260810)
     words = [""] + ["".join(rng.choice("012"[:k]) for _ in range(rng.randint(1, 12)))
                     for k in (2, 2, 2, 3, 3) for _ in range(5)]
     words += ["".join(rng.choice("012"[:k]) for _ in range(rng.randint(30, 40)))
               for k in (2, 2, 3, 3)]
+    # periodic, eventually periodic and Thue-Morse words, where most starts
+    # get a high floor; in the last, xX and its orbit first occur after 32
+    # periodic letters
+    words += ["01" * 17, "0110" * 9 + "0", "0" * 5 + "011" * 10, "012" * 11,
+              thue_morse_prefix(37), "01" * 16 + "00"]
     seeds = sorted(s for s in TWO_AVOIDABLE_SEEDS if len(s) == 5)
     y_led = sorted(q for s in seeds for q in equivalence_class(s) if q[0] in "yY")
     for p in ALL_PATTERNS_TO_4 + seeds + y_led:
@@ -197,25 +202,42 @@ def test_bound_restricts_the_search():
     assert find_instance_bounded("0110", "xX", 1, 1).start == 1
 
 
+def _first_repeated_suffix(w):
+    """Least s whose suffix w[s:] also starts at an earlier position."""
+    return next(s for s in range(len(w) + 1) if w.find(w[s:]) < s)
+
+
+def _spy_starts(monkeypatch):
+    starts = []
+    match_at = matcher._match_at
+
+    def spy(plan, w, start, max_x=None, max_y=None, floor=0):
+        starts.append(start)
+        return match_at(plan, w, start, max_x, max_y, floor)
+
+    monkeypatch.setattr(matcher, "_match_at", spy)
+    return starts
+
+
 @pytest.mark.parametrize("p", ["yxYxx", "YxyXy", "yxxY"])
 def test_y_led_scans_run_the_kernel_once_per_start(p, monkeypatch):
     # a search witness avoids p; appending an image of p makes an instance
     word = prove_k_unavoidable(p, 2, 200).longest_word
     hit = word + apply_morphism(p, "0", "1")
-    starts = []
-    match_at = matcher._match_at
-
-    def spy(plan, w, start, max_x=None, max_y=None):
-        starts.append(start)
-        return match_at(plan, w, start, max_x, max_y)
-
     assert not avoids(hit, p)
-    monkeypatch.setattr(matcher, "_match_at", spy)
+    starts = _spy_starts(monkeypatch)
     assert len(word) == 200 and avoids(word, p) and find_instance(word, p) is None
-    assert starts == 2 * list(range(200))
+    # the scans stop at the first start whose whole suffix occurs earlier
+    assert starts == 2 * list(range(_first_repeated_suffix(word)))
     starts.clear()
     wit = find_instance(hit, p)
     # the scan up to the hit, then only reruns at the start it found
     scanned = list(range(wit.start + 1))
     assert starts[:len(scanned)] == scanned and set(starts[len(scanned):]) <= {wit.start}
     assert hit[wit.start:].startswith(witness_image(p, wit))
+
+
+def test_periodic_words_stop_the_scan_early(monkeypatch):
+    starts = _spy_starts(monkeypatch)
+    assert avoids("01" * 100, "xyYx")
+    assert starts == [0, 1]

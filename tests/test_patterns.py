@@ -64,6 +64,13 @@ def test_every_pattern_question_rejects_a_foreign_symbol(question, text, symbol,
         PATTERN_QUESTIONS[question](text)
 
 
+@pytest.mark.parametrize("question", ["find_instance", "find_instance_bounded", "avoids",
+                                      "prove_k_unavoidable", "instance_in_alternating"])
+def test_instance_questions_reject_the_empty_pattern(question):
+    with pytest.raises(ValueError, match="the empty pattern has no instances; classify it"):
+        PATTERN_QUESTIONS[question]("")
+
+
 def test_reverse_mark_swaps_partners():
     assert reverse_mark("x") == "X"
     assert reverse_mark("Y") == "y"
