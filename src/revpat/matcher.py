@@ -15,7 +15,13 @@ also occurs at a start already ruled out (an earlier start in a scan, which
 takes the longest such prefix; a later one in the prover's reversed word).
 An instance no longer than the floor would start there too, so the kernel
 skips it, and a scan stops once the whole rest of the word occurs earlier.
-Every scan runs on the pattern's x-led form (``x_led``), the only form
+Once X is known, the x-run after the first y-run is a fixed string, and
+each place it occurs fixes |Y|; the y slot right after that run rejects
+most places before y is sliced.  When that slot repeats the first y slot,
+it begins with the first y slot's first letters (as many as the least |Y|
+left), which are searched for with the run; when it mirrors the y slot
+before the run, the letters on both sides of the run must agree.  Every
+scan runs on the pattern's x-led form (``x_led``), the only form
 ``_plan`` compiles: renaming keeps where instances start.  The witness is
 still p's own least (start, |X|, |Y|): when the renaming swapped two used
 variables, the kernel is rerun at the start the scan found with a rising cap
@@ -78,20 +84,38 @@ def _plan(p: str) -> tuple:
     """Compile p's x-led form for ``_match_at``.
 
     ``lead`` counts the x slots before the first y slot and ``lead_rest``
-    encodes all of them but the first; ``tail`` holds the (is_x, is_forward)
-    slots from the first y slot on.  ``cut`` is set when x recurs,
-    ``two_sided`` when both x and X occur, and ``pin`` is (length of the
-    first y-run, the x-run after it) when such an x-run exists.
+    encodes all of them but the first.  ``tail`` holds the other slots the
+    kernel compares, as (cx, cy, seg): the slot begins cx|X| + cy|Y| letters
+    after the start and holds ``"xXyY"[seg]``'s value.  It leaves out the
+    first y slot, which defines y (``y_fwd`` when that slot is y, not Y),
+    and the pinned x-run.  ``cut`` is set when x recurs, ``two_sided`` when
+    both x and X occur.  ``pin`` is set when an x-run follows the first
+    y-run: (the y-run's length, the x-run, ``extend``, ``mirror``), where
+    ``extend`` says the y slot after the x-run has the first y slot's
+    orientation and ``mirror`` that it has the opposite orientation to the
+    slot just before the x-run.
     """
     p = x_led(parse_pattern(p))
     a, b = variable_counts(p)
     body = p.lstrip("xX")
     after_y = body.lstrip("yY")
     run_x = after_y[:len(after_y) - len(after_y.lstrip("xX"))]
-    lead = len(p) - len(body)
-    tail = tuple((sym in "xX", sym in "xy") for sym in body)
-    pin = (len(body) - len(after_y), _run(run_x)) if run_x else None
-    return a, b, lead, _run(p[1:lead]), tail, a >= 2, "x" in p and "X" in p, pin
+    lead, run_y = len(p) - len(body), len(body) - len(after_y)
+    pinned = range(run_y, run_y + len(run_x))
+    tail, cx, cy = [], lead, 0
+    for i, sym in enumerate(body):
+        if i and i not in pinned:
+            tail.append((cx, cy, "xXyY".index(sym)))
+        if sym in "xX":
+            cx += 1
+        else:
+            cy += 1
+    pin = None
+    if run_x:
+        after = after_y[len(run_x):len(run_x) + 1]  # the y slot after the run, if any
+        pin = (run_y, _run(run_x), after == body[0], after not in ("", body[run_y - 1]))
+    return (a, b, lead, _run(p[1:lead]), tuple(tail), a >= 2, "x" in p and "X" in p,
+            body[:1] == "y", pin)
 
 
 def _run(syms: str):
@@ -107,31 +131,28 @@ def _image(run, fwd: bytes, rev: bytes | None) -> bytes:
     return b"".join([fwd if f else rev for f in run])
 
 
-def _pinned(w: bytes, t: bytes, base: int, run_y: int, low: int, end: int):
-    """|Y| values of at least low placing the fixed x-run t right after run_y
-    y slots that begin at base, in ascending order."""
-    q = w.find(t, base + run_y * low, end)
-    while q >= 0:
-        if (q - base) % run_y == 0:
-            yield (q - base) // run_y
-        q = w.find(t, q + 1, end)
-
-
 def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
               max_y: int | None = None, floor: int = 0) -> tuple[bytes, bytes | None] | None:
     """Least (|X|, |Y|) instance of a planned pattern starting at ``start``
     and longer than ``floor``.
 
     Returns the (x, y) values of that instance, y None for x-only patterns,
-    or None when no such instance within the bounds starts there.  Three
-    prunings apply.  If x recurs and the length-lx head (or, two-sided, its
-    reversal) occurs nowhere after it, no instance has this or any larger
-    |X|.  Once X is known, the x-run after the first y-run is a fixed
-    string, and each place it occurs fixes |Y|.  Every (|X|, |Y|) with
-    a|X| + b|Y| <= floor is skipped: the caller passes a floor only when
-    such an instance would also start at a place it has ruled out.
+    or None when no such instance within the bounds starts there.  Each
+    candidate's slots are compared at their own offsets; five prunings
+    choose the candidates.  If x recurs and the length-lx head (or,
+    two-sided, its reversal) occurs nowhere after it, no instance has this
+    or any larger |X|.  Every (|X|, |Y|) with a|X| + b|Y| <= floor is
+    skipped, so |Y| starts at ``low``: the caller passes a floor only when
+    such an instance would also start at a place it has ruled out.  Once X
+    is known, the x-run after the first y-run is a fixed string, and each
+    place it occurs fixes |Y|.  Two checks reject such a place by the y
+    slot right after the run.  When that slot has the first y slot's
+    orientation, it begins with the first y slot's first ``low`` letters,
+    so those are searched for with the run.  When it has the opposite
+    orientation to the y slot before the run, its first letter is that
+    slot's last, so the letters on both sides of the run must agree.
     """
-    a, b, lead, lead_rest, tail, cut, two_sided, pin = plan
+    a, b, lead, lead_rest, tail, cut, two_sided, y_fwd, pin = plan
     room = len(w) - start
     lim_x = (room - b) // a
     if max_x is not None and max_x < lim_x:
@@ -150,29 +171,33 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
         lim_y = (room - a * lx) // b
         if max_y is not None and max_y < lim_y:
             lim_y = max_y
-        low = max(1, (floor - a * lx) // b + 1)
+        ly = low = (floor - a * lx) // b + 1 if floor >= a * lx else 1
         if pin:
-            run_y, run_x = pin
+            run_y, run_x, extend, mirror = pin
             t = _image(run_x, xf, xr)
-            lys = _pinned(w, t, base, run_y, low, base + run_y * lim_y + len(t))
-        else:
-            lys = range(low, lim_y + 1)
-        for ly in lys:
-            y0 = y1 = None
-            pos = base
-            for is_x, fwd in tail:
-                length = lx if is_x else ly
-                seg = w[pos:pos + length]
-                pos += length
-                if is_x:
-                    if seg != (xf if fwd else xr):
-                        break
-                elif y0 is None:
-                    y0, y1 = (seg, seg[::-1]) if fwd else (seg[::-1], seg)
-                elif seg != (y0 if fwd else y1):
+            run_len = len(t)
+            if extend:
+                t += w[base:base + low]
+            end = base + run_y * lim_y + len(t)
+            q = base + run_y * low - 1
+        while True:
+            if pin:
+                q = w.find(t, q + 1, end)
+                if q < 0:
+                    break
+                if (q - base) % run_y or mirror and w[q - 1] != w[q + run_len]:
+                    continue
+                ly = (q - base) // run_y
+            elif ly > lim_y:
+                break
+            ys = w[base:base + ly]
+            segs = (xf, xr, ys, ys[::-1]) if y_fwd else (xf, xr, ys[::-1], ys)
+            for cx, cy, seg in tail:
+                if not w.startswith(segs[seg], start + cx * lx + cy * ly):
                     break
             else:
-                return xf, y0
+                return xf, segs[2]
+            ly += 1
     return None
 
 

@@ -14,12 +14,14 @@ from revpat.matcher import (
     find_instance_bounded,
     parse_word,
     witness_image,
+    x_led,
 )
 from revpat.patterns import PATTERN_ALPHABET, equivalence_class, iota, variable_counts
 from revpat.sequences import alternating_prefix, thue_morse_prefix
 
 ALL_PATTERNS_TO_4 = ["".join(t) for n in range(1, 5)
                      for t in product(PATTERN_ALPHABET, repeat=n)]
+ALL_PATTERNS_5 = ["".join(t) for t in product(PATTERN_ALPHABET, repeat=5)]
 
 
 def test_parse_word():
@@ -130,6 +132,13 @@ def _oracle_find(w, p, max_x=None, max_y=None):
     return None
 
 
+def _y_after_pinned_run(p):
+    """True when p's x-led form has a y slot right after the x-run that
+    follows its first y-run."""
+    after_y = x_led(p).lstrip("xX").lstrip("yY")
+    return after_y.lstrip("xX") not in ("", after_y)
+
+
 def test_matcher_agrees_with_oracle_on_all_short_patterns():
     # the 30-40 letter words and the length-5 seeds reach the kernel's
     # repeat cutoff, its |Y| pinning and its floor at many lengths; the
@@ -158,6 +167,15 @@ def test_matcher_agrees_with_oracle_on_all_short_patterns():
             for max_x, max_y in ((1, 1), (1, 3), (3, 1), (2, 4)):
                 got = find_instance_bounded(w, p, max_x, max_y)
                 assert got == _oracle_find(w, p, max_x, max_y), (p, w, max_x, max_y)
+    # the kernel rejects |Y| by the y slot right after the x-run that pins
+    # it, before y is sliced: every length-5 pattern with such a slot, over
+    # longer words where that slot is often the first to differ
+    long_words = ["".join(rng.choice("012"[:k]) for _ in range(rng.randint(30, 48)))
+                  for k in (2, 2, 3, 3)]
+    for p in ALL_PATTERNS_5:
+        if _y_after_pinned_run(p):
+            for w in long_words:
+                assert find_instance(w, p) == _oracle_find(w, p), (p, w)
 
 
 @settings(max_examples=200, deadline=None)
