@@ -6,6 +6,10 @@ search bounds, and a concrete counterexample whenever the check fails.
 ``run_checks`` drives the whole registry; the CLI ``verify`` command is a
 thin wrapper around it.
 
+A check ends at its first failing clause, whose counterexample the check's
+local ``failures()`` generator yields first; ``w3`` alone evaluates every
+clause and reports each one that fails.
+
 Prefix lengths for the w1..w4 checks are derived at run time from
 ``bound_factor_length`` and the Thue-Morse covering arithmetic rather than
 hardcoded; where a specific derived value is load-bearing (56, 112) a
@@ -160,16 +164,18 @@ def vf_g_avoidance(n: int = 400) -> VerificationReport:
     """The ternary word g avoids xyxY and xyXY, plus its structure facts."""
     g = g_from(square_limited_prefix(n))
     cap = min(len(g) // 4, 15)
-    counter = _bounded_hit(g, "xyxY", cap, cap) or _bounded_hit(g, "xyXY", cap, cap)
-    if counter is None:
-        bad = mod3_step_violation(g)
-        if bad is not None:
-            counter = {"mod3_factor": bad}
-    if counter is None:
+
+    def failures():
+        for p in ("xyxY", "xyXY"):
+            if hit := _bounded_hit(g, p, cap, cap):
+                yield hit
+        if bad := mod3_step_violation(g):
+            yield {"mod3_factor": bad}
         for f in FORBIDDEN_G_FACTORS:
             if f in g:
-                counter = {"forbidden_factor": f}
-                break
+                yield {"forbidden_factor": f}
+
+    counter = next(failures(), None)
     return VerificationReport(
         check_id="g-avoidance",
         claim="the ternary word g built from the square-limited word avoids xyxY and "
@@ -207,15 +213,16 @@ def vf_w1() -> VerificationReport:
     tau56, img56, _ = _image_window(F1, 7)
     inst_bound = bound_factor_length(3 * 6 + 2 * 6, len(F1[1]))
     tau112, img112, _ = _image_window(F1, 3 * 6 + 2 * 6)
-    counter = None
-    if not (rev_bound < 7 and inst_bound == 10 and len(tau56) == 56 and len(tau112) == 112):
-        counter = {"derived": [rev_bound, inst_bound, len(tau56), len(tau112)]}
-    if counter is None:
-        rev = reversible_factors(img56, 7)
-        if rev:
-            counter = {"reversible_factor": sorted(rev)[0]}
-    if counter is None:
-        counter = _bounded_hit(img112, "xyxYX", 6, 6)
+
+    def failures():
+        if not (rev_bound < 7 and inst_bound == 10 and len(tau56) == 56 and len(tau112) == 112):
+            yield {"derived": [rev_bound, inst_bound, len(tau56), len(tau112)]}
+        if rev := reversible_factors(img56, 7):
+            yield {"reversible_factor": sorted(rev)[0]}
+        if hit := _bounded_hit(img112, "xyxYX", 6, 6):
+            yield hit
+
+    counter = next(failures(), None)
     return VerificationReport(
         check_id="w1",
         claim="f1(t) has no length-7 factor z with z reversed also a factor, and no "
@@ -279,13 +286,16 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
     clauses: dict[str, bool] = {}
     details: dict[str, object] = {}
 
+    def record(name: str, evidence: object) -> None:  # empty evidence: the clause holds
+        clauses[name] = not evidence
+        if evidence:
+            details[name] = evidence
+
     # (a) words readable both ways lie in the fixed 22-element set
     stray = set()
     for length in range(1, 7):
         stray |= reversible_factors(w, length) - UPSILON
-    clauses["reversible"] = not stray
-    if stray:
-        details["reversible"] = sorted(stray)
+    record("reversible", sorted(stray))
 
     # (b) no length-3 context works on both sides of y and its reversal
     violations = {}
@@ -293,21 +303,13 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
         left, right = _context_sets(w, y)
         if left and right:
             violations[y] = {"left": sorted(left), "right": sorted(right)}
-    clauses["contexts"] = not violations
-    if violations:
-        details["contexts"] = violations
+    record("contexts", violations)
 
     # (c) no short instance of xyxYx
-    hit = _bounded_hit(w, "xyxYx", 8, 2)
-    clauses["instances"] = hit is None
-    if hit is not None:
-        details["instances"] = hit
+    record("instances", _bounded_hit(w, "xyxYx", 8, 2))
 
     # (d) every length-9 factor contains 11
-    missing11 = sorted(z for z in factor_set(w, 9) if "11" not in z)
-    clauses["length-9"] = not missing11
-    if missing11:
-        details["length-9"] = missing11[:3]
+    record("length-9", sorted(z for z in factor_set(w, 9) if "11" not in z)[:3])
 
     # (e) factors ending in 11 have exactly one left completion
     completion_failures = {}
@@ -317,9 +319,7 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
                 found = left_completions(u, F3, completion_factor_bound)
                 if len(found) != 1:
                     completion_failures[u] = found
-    clauses["completions"] = not completion_failures
-    if completion_failures:
-        details["completions"] = completion_failures
+    record("completions", completion_failures)
 
     failed = [name for name, ok in clauses.items() if not ok]
     return VerificationReport(
@@ -349,16 +349,18 @@ def vf_w3_contexts_repaired() -> VerificationReport:
     consumes.
     """
     tau, w, _ = _image_window(F3, 3 * 8 + 2 * 6)
-    counter = None
-    for y in CONTEXT_TABLE:
-        if y == y[::-1]:
-            continue
-        left, right = _context_sets(w, y)
-        if left and right:
-            counter = {"y": y, "left": sorted(left), "right": sorted(right)}
-            break
-    if counter is None:
-        counter = _bounded_hit(w, "xyxYx", 8, 6)
+
+    def failures():
+        for y in CONTEXT_TABLE:
+            if y == y[::-1]:
+                continue
+            left, right = _context_sets(w, y)
+            if left and right:
+                yield {"y": y, "left": sorted(left), "right": sorted(right)}
+        if hit := _bounded_hit(w, "xyxYx", 8, 6):
+            yield hit
+
+    counter = next(failures(), None)
     return VerificationReport(
         check_id="w3-contexts-repaired",
         claim="non-palindromic reversible factors of w3 outside {0,1,00} fail one of "
@@ -381,60 +383,47 @@ def vf_w4() -> VerificationReport:
     windows = [_image_window(F4, 21), _image_window(F4, 3 * 20 + 2 * 5), _image_window(F4, 26)]
     rev_prefix, inst_prefix, bis_prefix = (len(tau) for tau, _, _ in windows)
     tau, w, at = max(windows, key=lambda window: len(window[0]))
-    counter = None
 
-    if not (rev_prefix == 56 and inst_prefix == 112 and len(w) == 616):
-        counter = {"derived": [rev_prefix, inst_prefix, len(w)]}
+    def failures():
+        if not (rev_prefix == 56 and inst_prefix == 112 and len(w) == 616):
+            yield {"derived": [rev_prefix, inst_prefix, len(w)]}
 
-    # (a) no length-21 factor is reversible
-    if counter is None:
-        rev = reversible_factors(w, 21)
-        if rev:
-            counter = {"clause": "reversible", "factor": sorted(rev)[0]}
+        # (a) no length-21 factor is reversible
+        if rev := reversible_factors(w, 21):
+            yield {"clause": "reversible", "factor": sorted(rev)[0]}
 
-    # (b) no bounded instance of xyXyx in the covering image
-    if counter is None:
-        hit = _bounded_hit(w, "xyXyx", 20, 5)
-        if hit is not None:
-            counter = {"clause": "instances", **hit}
+        # (b) no bounded instance of xyXyx in the covering image
+        if hit := _bounded_hit(w, "xyXyx", 20, 5):
+            yield {"clause": "instances", **hit}
 
-    # (c) every 011 ends an image block of 1
-    if counter is None:
+        # (c) every 011 ends an image block of 1
         one_ends = {at[i + 1] for i, c in enumerate(tau) if c == "1"}
         i = w.find("011")
         while i != -1:
             if i + 3 not in one_ends:
-                counter = {"clause": "alignment", "position": i}
-                break
+                yield {"clause": "alignment", "position": i}
             i = w.find("011", i + 1)
 
-    # (d) the long internal factors of f4(1) are the six known words and occur
-    # only inside image blocks of 1
-    if counter is None:
+        # (d) the long internal factors of f4(1) are the six known words and
+        # occur only inside image blocks of 1
         expected = {"000010", "000100", "001001", "0000100", "0001001", "00001001"}
-        got = internal_factors(F4[1], 6)
-        if got != expected:
-            counter = {"clause": "internal", "got": sorted(got)}
-    if counter is None:
+        if (got := internal_factors(F4[1], 6)) != expected:
+            yield {"clause": "internal", "got": sorted(got)}
         one_spans = [(at[i], at[i + 1]) for i, c in enumerate(tau) if c == "1"]
         for u in sorted(expected):
             i = w.find(u)
             while i != -1:
                 if not any(s <= i and i + len(u) <= e for s, e in one_spans):
-                    counter = {"clause": "internal-placement", "factor": u, "position": i}
-                    break
+                    yield {"clause": "internal-placement", "factor": u, "position": i}
                 i = w.find(u, i + 1)
-            if counter is not None:
-                break
 
-    # (e) bispecial factors of length 6..24 are image words
-    if counter is None:
+        # (e) bispecial factors of length 6..24 are image words
         images = tm_factor_images(F4, 24)
         for y in sorted(bispecial_factors(w, 24)):
             if len(y) >= 6 and y not in images:
-                counter = {"clause": "bispecial", "factor": y}
-                break
+                yield {"clause": "bispecial", "factor": y}
 
+    counter = next(failures(), None)
     return VerificationReport(
         check_id="w4",
         claim="f4(t): no reversible length-21 factor, no instance of xyXyx with "
@@ -455,18 +444,19 @@ def vf_w4() -> VerificationReport:
 def vf_pigeonhole(k: int = 2) -> VerificationReport:
     """Every word of length 2k+1 over k letters contains xyx and xyX."""
     length = 2 * k + 1
-    counter = None
     digits = "".join(str(d) for d in range(k))
     total = 0
-    for tup in product(digits, repeat=length):
-        w = "".join(tup)
-        total += 1
-        for p in ("xyx", "xyX"):
-            if find_instance(w, p) is None:
-                counter = {"word": w, "pattern": p}
-                break
-        if counter is not None:
-            break
+
+    def failures():
+        nonlocal total
+        for tup in product(digits, repeat=length):
+            w = "".join(tup)
+            total += 1
+            for p in ("xyx", "xyX"):
+                if find_instance(w, p) is None:
+                    yield {"word": w, "pattern": p}
+
+    counter = next(failures(), None)
     return VerificationReport(
         check_id="pigeonhole",
         claim=f"every word of length {length} over {k} letters contains an instance "
@@ -480,22 +470,23 @@ def vf_pigeonhole(k: int = 2) -> VerificationReport:
 
 def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
     """Graph bipartiteness coincides with having an instance in 0101..."""
-    counter = None
     checked = 0
-    for length in range(2, max_len + 1):
-        for tup in product(PATTERN_ALPHABET, repeat=length):
-            p = "".join(tup)
-            checked += 1
-            bip = bipartite_check(pattern_graph(p)).is_bipartite
-            host = alternating_prefix(4 * length + 4)
-            brute = find_instance_bounded(host, p, 2, 2) is not None
-            construction = instance_in_alternating(p) is not None
-            if not (bip == brute == construction):
-                counter = {"pattern": p, "bipartite": bip, "brute_force": brute,
+
+    def failures():
+        nonlocal checked
+        for length in range(2, max_len + 1):
+            for tup in product(PATTERN_ALPHABET, repeat=length):
+                p = "".join(tup)
+                checked += 1
+                bip = bipartite_check(pattern_graph(p)).is_bipartite
+                host = alternating_prefix(4 * length + 4)
+                brute = find_instance_bounded(host, p, 2, 2) is not None
+                construction = instance_in_alternating(p) is not None
+                if not (bip == brute == construction):
+                    yield {"pattern": p, "bipartite": bip, "brute_force": brute,
                            "construction": construction}
-                break
-        if counter is not None:
-            break
+
+    counter = next(failures(), None)
     return VerificationReport(
         check_id="alternating",
         claim="for every pattern of length 2..{}: the pattern graph is 2-colorable "
@@ -568,24 +559,25 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
     searches: dict[tuple[str, int], BacktrackReport] = {}
     verdicts: dict[str, tuple] = {}
     witness_factors: dict[str, str] = {}
-    counter = None
     checked = 0
-    for length in range(1, max_len + 1):
-        for tup in product(PATTERN_ALPHABET, repeat=length):
-            p = "".join(tup)
-            checked += 1
-            c = canonical(p)
-            if c not in verdicts:
-                verdicts[c] = _class_verdict(c, avoider_len, unavoidable_depth, searches,
-                                             witness_factors)
-            searched, problem = verdicts[c]
-            if problem is None and classify(p) is not searched:
-                problem = {"classifier": classify(p).value, "search": searched.value}
-            if problem is not None:
-                counter = {"pattern": p, **problem}
-                break
-        if counter is not None:
-            break
+
+    def failures():
+        nonlocal checked
+        for length in range(1, max_len + 1):
+            for tup in product(PATTERN_ALPHABET, repeat=length):
+                p = "".join(tup)
+                checked += 1
+                c = canonical(p)
+                if c not in verdicts:
+                    verdicts[c] = _class_verdict(c, avoider_len, unavoidable_depth, searches,
+                                                 witness_factors)
+                searched, problem = verdicts[c]
+                if problem is None and classify(p) is not searched:
+                    problem = {"classifier": classify(p).value, "search": searched.value}
+                if problem is not None:
+                    yield {"pattern": p, **problem}
+
+    counter = next(failures(), None)
     return VerificationReport(
         check_id="classifier-oracle",
         claim="for every pattern up to length {}: index 2 iff a binary avoider of "
@@ -611,27 +603,21 @@ def vf_classical_seed_avoiders(witness_len: int = 200,
     a.z.a.z.a factor scan at full length and through the generic matcher on a
     shorter prefix; the square-limited word supplies the xyxyX witness.
     """
-    counter = None
-    for p in sorted(SEED_PARTITION["classical"]):
-        r = prove_k_unavoidable(p, 2, witness_len)
-        if r.terminated or not avoids(r.longest_word, p):
-            counter = {"pattern": p, "terminated": r.terminated}
-            break
-    if counter is None:
-        tm = thue_morse_prefix(overlap_prefix)
-        over = contains_overlap(tm)
-        if over is not None:
-            counter = {"overlap": over}
-    if counter is None:
+    def failures():
+        for p in sorted(SEED_PARTITION["classical"]):
+            r = prove_k_unavoidable(p, 2, witness_len)
+            if r.terminated or not avoids(r.longest_word, p):
+                yield {"pattern": p, "terminated": r.terminated}
+        if over := contains_overlap(thue_morse_prefix(overlap_prefix)):
+            yield {"overlap": over}
         tm_short = thue_morse_prefix(matcher_prefix)
         for p in ("xxx", "xyxyx"):
             if not avoids(tm_short, p):
-                counter = {"pattern": p, "matcher_prefix": matcher_prefix}
-                break
-    if counter is None:
-        sub = vf_square_limited_xyxyX()
-        if not sub.passed:
-            counter = {"square_limited": sub.counterexample}
+                yield {"pattern": p, "matcher_prefix": matcher_prefix}
+        if not (sub := vf_square_limited_xyxyX()).passed:
+            yield {"square_limited": sub.counterexample}
+
+    counter = next(failures(), None)
     return VerificationReport(
         check_id="classical-seeds",
         claim="each of the five classical seeds has a binary avoider of length "
@@ -653,20 +639,21 @@ def vf_image_locality(morphism: str, max_len: int = 30) -> VerificationReport:
         raise ValueError("image locality applies to f1, f2, f3 or f4")
     m = MORPHISMS[morphism]
     tau, img, _ = _image_window(m, max_len)
-    counter = None
     checked = 0
-    for length in range(1, max_len + 1):
-        bound = bound_factor_length(length, len(m[1]))
-        # the images of the Thue-Morse factors of length bound
-        src_tau, src, at = _image_window(m, length)
-        images = {src[at[i]:at[i + bound]] for i in range(len(src_tau) - bound + 1)}
-        for u in sorted(factor_set(img, length)):
-            checked += 1
-            if not any(u in s for s in images):
-                counter = {"factor": u, "bound": bound}
-                break
-        if counter is not None:
-            break
+
+    def failures():
+        nonlocal checked
+        for length in range(1, max_len + 1):
+            bound = bound_factor_length(length, len(m[1]))
+            # the images of the Thue-Morse factors of length bound
+            src_tau, src, at = _image_window(m, length)
+            images = {src[at[i]:at[i + bound]] for i in range(len(src_tau) - bound + 1)}
+            for u in sorted(factor_set(img, length)):
+                checked += 1
+                if not any(u in s for s in images):
+                    yield {"factor": u, "bound": bound}
+
+    counter = next(failures(), None)
     return VerificationReport(
         check_id=f"image-locality-{morphism}",
         claim=f"every factor of {morphism}(t) up to length {max_len} is a factor of "

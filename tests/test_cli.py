@@ -151,6 +151,9 @@ def test_verify_params_take_their_parameter_type(capsys):
     assert "'abc'" in capsys.readouterr().err
     assert run(["--json", "verify", "--only", "pigeonhole", "--params", "k=two"]) == 2
     assert "error" in json.loads(_out(capsys))
+    # a parameter without a value is a usage error too
+    assert run(["verify", "--params", "n"]) == 2
+    assert "'n' is not of the form key=value" in capsys.readouterr().err
     # a value below the check's declared lower bound is a usage error too
     assert run(["verify", "--only", "alternating", "--params", "max_len=1"]) == 2
     assert "'max_len' >= 2, got 1" in capsys.readouterr().err

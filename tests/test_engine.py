@@ -75,6 +75,8 @@ A_TABLES = {
 def test_seed_free_tables_exact():
     for n, expected in A_TABLES.items():
         assert seed_free_patterns(n) == frozenset(expected), n
+    with pytest.raises(ValueError, match="non-negative"):
+        seed_free_patterns(-1)
 
 
 def test_seed_free_matches_direct_definition():

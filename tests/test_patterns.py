@@ -76,6 +76,8 @@ def test_reverse_mark_swaps_partners():
     assert reverse_mark("Y") == "y"
     for sym in PATTERN_ALPHABET:
         assert reverse_mark(reverse_mark(sym)) == sym
+    with pytest.raises(ValueError, match="invalid pattern symbol 'q'"):
+        reverse_mark("q")
 
 
 def test_iota_examples():

@@ -52,6 +52,8 @@ def test_alternating_examples():
     assert alternating_prefix(4) == "0101"
     assert alternating_prefix(0) == ""
     assert alternating_prefix(5) == "01010"
+    with pytest.raises(ValueError, match="non-negative"):
+        alternating_prefix(-1)
 
 
 def test_morphism_constants():

@@ -7,19 +7,24 @@ from math import inf
 import pytest
 
 from revpat import engine, verify
+from revpat.engine import Avoidability, BacktrackReport
 from revpat.matcher import apply_morphism, find_instance
 from revpat.patterns import canonical, factors
 from revpat.sequences import (
+    ALLOWED_SQUARES,
     F2,
     F4,
     apply_binary_morphism,
     covering_prefix_length,
+    factor_set,
+    left_completions,
     thue_morse_prefix,
 )
 from revpat.verify import (
     CHECKS,
     UPSILON,
     _bounded_hit,
+    _image_window,
     bound_factor_length,
     internal_factors,
     mod3_step_violation,
@@ -69,6 +74,9 @@ def test_run_checks_validation(monkeypatch):
         run_checks(params={"morphism": "f2"})
     with pytest.raises(ValueError, match="does not accept parameter 'morphism'"):
         run_checks(only="image-locality-f1", params={"morphism": "f3"})
+    # h is a morphism, but no image-locality check is about it
+    with pytest.raises(ValueError, match="f1, f2, f3 or f4"):
+        verify.vf_image_locality("h")
     [report] = run_checks(only="image-locality-f3", params={"max_len": "5"})
     assert (report.check_id, report.parameters) == ("image-locality-f3",
                                                     {"morphism": "f3", "max_len": 5})
@@ -143,15 +151,6 @@ def test_every_integer_parameter_has_a_lower_bound():
             assert params[key].default <= maximum, (cid, key)
         for relation in relations:
             relation(**{k: q.default for k, q in params.items()})
-
-
-def test_tm_prefix_covering_certifies_covering_prefix_length(monkeypatch):
-    # a covering rule one letter block short misses 00, which first ends at letter 7
-    monkeypatch.setattr(verify, "covering_prefix_length",
-                        lambda factor_len: covering_prefix_length(factor_len) // 7 * 6)
-    [report] = run_checks(only="tm-prefix-covering")
-    assert not report.passed
-    assert report.counterexample == {"exp": 0, "factor": "00"}
 
 
 def test_reports_are_deterministic_and_json_clean():
@@ -327,16 +326,156 @@ def test_classifier_oracle_covers_length_five():
     assert (bound["patterns_checked"], bound["classes_searched"]) == (1364, 111)
 
 
-def test_classifier_oracle_fails_when_the_matcher_refutes_witnesses(monkeypatch):
-    monkeypatch.setattr(verify, "avoids", lambda word, p: False)
-    report = vf_classifier_oracle(max_len=2, avoider_len=40)
-    assert not report.passed
-    assert report.counterexample["searched"] == "xx"
-
-
 def test_classifier_oracle_never_takes_an_inconclusive_search(monkeypatch):
     monkeypatch.setattr(verify, "prove_k_unavoidable",
                         lambda p, k, depth: engine.prove_k_unavoidable(p, k, depth, 3))
     report = vf_classifier_oracle(max_len=2, avoider_len=40)
     assert not report.passed
     assert len(report.counterexample["witness"]) < 40
+
+
+# --- every failing clause of every check ------------------------------------------
+#
+# Each row makes one clause of one check fail by replacing a name that the clause
+# reads in ``verify``, and pins the counterexample the check then reports.
+
+
+def _hit_only(pattern):
+    """A bounded instance search that finds only the given pattern."""
+    return lambda w, p, max_x, max_y: {"pattern": p, "start": 0} if p == pattern else None
+
+
+def _with_factor(length, word):
+    """factor_set with one extra factor of the given length."""
+    return lambda w, n: factor_set(w, n) | ({word} if n == length else set())
+
+
+def _offsets_moved(shift):
+    """_image_window with block offset i moved right by shift(tau, i) letters."""
+    def window(m, factor_len):
+        tau, w, at = _image_window(m, factor_len)
+        return tau, w, [a + shift(tau, i) for i, a in enumerate(at)]
+    return window
+
+
+_NO_CONTEXTS = {"_context_sets": lambda w, y: (set(), set())}
+_W3 = {"completion_len": 4}
+_SEEDS = {"witness_len": 40, "matcher_prefix": 100, "overlap_prefix": 200}
+
+FAILING_CLAUSES = [
+    ("square-limited", {}, {"collect_squares": lambda w: ALLOWED_SQUARES | {"000000"}},
+     {"square": "000000"}, "stray"),
+    ("square-limited", {}, {"collect_squares": lambda w: {"00"}},
+     {"missing_squares": ["0101", "11"]}, "missing"),
+    ("g-avoidance", {"n": 100}, {"_bounded_hit": _hit_only("xyxY")},
+     {"pattern": "xyxY", "start": 0}, "xyxY"),
+    ("g-avoidance", {"n": 100}, {"_bounded_hit": _hit_only("xyXY")},
+     {"pattern": "xyXY", "start": 0}, "xyXY"),
+    ("g-avoidance", {"n": 100}, {"mod3_step_violation": lambda g: "21"},
+     {"mod3_factor": "21"}, "mod3"),
+    ("g-avoidance", {"n": 100}, {"FORBIDDEN_G_FACTORS": ("220122201", "0")},
+     {"forbidden_factor": "0"}, "forbidden"),
+    ("square-limited-xyxyX", {"n": 100}, {"_bounded_hit": _hit_only("xyxyX")},
+     {"pattern": "xyxyX", "start": 0}, "instances"),
+    ("square-limited-xyxyX", {"n": 100}, {"square_limited_prefix": lambda n: "1010"},
+     {"factor": "1010"}, "1010"),
+    ("w1", {}, {"bound_factor_length": lambda u, m: 7},
+     {"derived": [7, 7, 56, 56]}, "derived"),
+    ("w1", {}, {"reversible_factors": lambda w, n: {"1101101", "1011011"}},
+     {"reversible_factor": "1011011"}, "reversible"),
+    ("w1", {}, {"_bounded_hit": _hit_only("xyxYX")},
+     {"pattern": "xyxYX", "start": 0}, "instances"),
+    ("w2", {}, {"bound_factor_length": lambda u, m: 2},
+     {"derived_prefix": 7}, "derived"),
+    ("w2", {}, {"tm_image": lambda m, n: (thue_morse_prefix(n), "0" * 503, [])},
+     {"image_length": 503}, "image-length"),
+    ("w2", {}, {"_bounded_hit": _hit_only("xyXYx")},
+     {"pattern": "xyXYx", "start": 0}, "instances"),
+    ("w3", _W3, {**_NO_CONTEXTS, "UPSILON": UPSILON - {"100001"}},
+     {"clauses": ["reversible"], "details": {"reversible": ["100001"]}}, "reversible"),
+    ("w3", _W3, {"_context_sets":
+                 lambda w, y: ({"000"}, {"111"}) if y == "0110" else (set(), set())},
+     {"clauses": ["contexts"],
+      "details": {"contexts": {"0110": {"left": ["000"], "right": ["111"]}}}}, "contexts"),
+    ("w3", _W3, {**_NO_CONTEXTS, "_bounded_hit": _hit_only("xyxYx")},
+     {"clauses": ["instances"], "details": {"instances": {"pattern": "xyxYx", "start": 0}}},
+     "instances"),
+    ("w3", _W3, {**_NO_CONTEXTS, "factor_set": _with_factor(9, "000000000")},
+     {"clauses": ["length-9"], "details": {"length-9": ["000000000"]}}, "length-9"),
+    ("w3", _W3, {**_NO_CONTEXTS, "left_completions":
+                 lambda u, m, bound: [] if u == "011" else left_completions(u, m, bound)},
+     {"clauses": ["completions"], "details": {"completions": {"011": []}}}, "completions"),
+    ("w3-contexts-repaired", {}, {"_context_sets": lambda w, y: ({"000"}, {"001"})},
+     {"y": "01", "left": ["000"], "right": ["001"]}, "contexts"),
+    ("w3-contexts-repaired", {}, {"_bounded_hit": _hit_only("xyxYx")},
+     {"pattern": "xyxYx", "start": 0}, "instances"),
+    ("w4", {}, {"bound_factor_length": lambda u, m: 2},
+     {"derived": [7, 7, 34]}, "derived"),
+    ("w4", {}, {"reversible_factors": lambda w, n: {"1" * 21}},
+     {"clause": "reversible", "factor": "1" * 21}, "reversible"),
+    ("w4", {}, {"_bounded_hit": _hit_only("xyXyx")},
+     {"clause": "instances", "pattern": "xyXyx", "start": 0}, "instances"),
+    # every block one letter late: no 011 ends a block of 1
+    ("w4", {}, {"_image_window": _offsets_moved(lambda tau, i: 1)},
+     {"clause": "alignment", "position": 8}, "alignment"),
+    ("w4", {}, {"internal_factors": lambda w, n: set()},
+     {"clause": "internal", "got": []}, "internal"),
+    # a block of 1 after a block of 0 starts two letters late, and no block's end moves
+    ("w4", {}, {"_image_window": _offsets_moved(
+        lambda tau, i: 2 if tau[i - 1:i + 1] == "01" else 0)},
+     {"clause": "internal-placement", "factor": "000010", "position": 2}, "internal-placement"),
+    ("w4", {}, {"tm_factor_images": lambda m, n: frozenset()},
+     {"clause": "bispecial", "factor": "01000010011"}, "bispecial"),
+    ("pigeonhole", {"k": 1}, {"find_instance": lambda w, p: None if p == "xyX" else (w, p)},
+     {"word": "000", "pattern": "xyX"}, "xyX"),
+    ("alternating", {"max_len": 2}, {"instance_in_alternating": lambda p: None},
+     {"pattern": "xx", "bipartite": True, "brute_force": True, "construction": False},
+     "construction"),
+    ("classifier-oracle", {"max_len": 2, "avoider_len": 40}, {"avoids": lambda w, p: False},
+     {"pattern": "xx", "alphabet": 3, "searched": "xx",
+      "witness": "0102012021012010201202102010210120102012"}, "refuted-witness"),
+    ("classifier-oracle", {"max_len": 2, "avoider_len": 12, "unavoidable_depth": 1}, {},
+     {"pattern": "xy", "ternary_longest": 1}, "ternary-longest"),
+    ("classifier-oracle", {"max_len": 1, "avoider_len": 12},
+     {"classify": lambda p: Avoidability.TWO},
+     {"pattern": "x", "classifier": 2, "search": "infinity"}, "classifier"),
+    ("classical-seeds", _SEEDS, {"prove_k_unavoidable": lambda p, k, depth:
+                                 BacktrackReport(p, k, depth, True, 3, 3, "010")},
+     {"pattern": "xxx", "terminated": True}, "witness"),
+    ("classical-seeds", _SEEDS, {"contains_overlap": lambda w: "000"},
+     {"overlap": "000"}, "overlap"),
+    ("classical-seeds", _SEEDS, {"thue_morse_prefix": lambda n: "0" * n if n == 100
+                                 else thue_morse_prefix(n)},
+     {"pattern": "xxx", "matcher_prefix": 100}, "matcher"),
+    ("classical-seeds", _SEEDS, {"square_limited_prefix": lambda n: "1010"},
+     {"square_limited": {"factor": "1010"}}, "square-limited"),
+    ("image-locality-f1", {"max_len": 3}, {"factor_set": lambda w, n: {"2"}},
+     {"factor": "2", "bound": 5}, "factor"),
+    ("image-locality-f2", {"max_len": 3}, {"factor_set": lambda w, n: {"2"}},
+     {"factor": "2", "bound": 4}, "factor"),
+    ("image-locality-f3", {"max_len": 3}, {"factor_set": lambda w, n: {"2"}},
+     {"factor": "2", "bound": 4}, "factor"),
+    ("image-locality-f4", {"max_len": 3}, {"factor_set": lambda w, n: {"2"}},
+     {"factor": "2", "bound": 5}, "factor"),
+    # a covering rule one letter block short misses 00, which first ends at letter 7
+    ("tm-prefix-covering", {}, {"covering_prefix_length":
+                                lambda factor_len: covering_prefix_length(factor_len) // 7 * 6},
+     {"exp": 0, "factor": "00"}, "covering"),
+    ("tm-desubstitution", {"prefix_len": 64}, {"apply_binary_morphism": lambda m, w: ""},
+     {"length": 1, "factor": "0"}, "image"),
+]
+
+
+@pytest.mark.parametrize("check_id, params, patches, expected",
+                         [pytest.param(*row[:4], id=f"{row[0]}:{row[4]}")
+                          for row in FAILING_CLAUSES])
+def test_a_failing_clause_fails_its_check(check_id, params, patches, expected, monkeypatch):
+    for name, value in patches.items():
+        monkeypatch.setattr(verify, name, value)
+    [report] = run_checks(only=check_id, params=params)
+    assert report.passed is False
+    assert report.counterexample == expected
+
+
+def test_every_check_has_a_failing_clause_under_test():
+    assert {row[0] for row in FAILING_CLAUSES} == set(CHECKS)
