@@ -6,9 +6,11 @@ search bounds, and a concrete counterexample whenever the check fails.
 ``run_checks`` drives the whole registry; the CLI ``verify`` command is a
 thin wrapper around it.
 
-A check ends at its first failing clause, whose counterexample the check's
-local ``failures()`` generator yields first; ``w3`` alone evaluates every
-clause and reports each one that fails.
+Every check but ``w3`` yields the counterexample of each failing clause,
+in clause order, from a local ``failures()`` generator and hands it to
+``_verdict``, which takes the first and stops there: a failing report's
+``searched_bound`` holds the counts reached at that clause.  ``w3`` alone
+evaluates every clause and reports each one that fails.
 
 Prefix lengths for the w1..w4 checks are derived at run time from
 ``bound_factor_length`` and the Thue-Morse covering arithmetic rather than
@@ -20,6 +22,7 @@ derived.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import product
@@ -36,7 +39,7 @@ from .engine import (
     prove_k_unavoidable,
 )
 from .matcher import avoids, find_instance, find_instance_bounded
-from .patterns import PATTERN_ALPHABET, canonical, factors, pattern_key
+from .patterns import PATTERN_ALPHABET, canonical, factors, pattern_key, variable_counts
 from .sequences import (
     ALLOWED_SQUARES,
     DEFAULT_LOOKAHEAD,
@@ -78,6 +81,9 @@ CONTEXT_TABLE = sorted(UPSILON - {"0", "1", "00"}, key=lambda s: (len(s), s))
 
 FORBIDDEN_G_FACTORS = ("220122201", "012220122")
 
+# Greatest |X| and |Y| of the bounded instance searches in g and the square-limited word.
+SQUARE_LIMITED_CAP = 15
+
 
 @dataclass
 class VerificationReport:
@@ -117,6 +123,12 @@ def _image_window(m: tuple[str, str], factor_len: int) -> tuple[str, str, list[i
     return tm_image(m, covering_prefix_length(bound_factor_length(factor_len, len(m[1]))))
 
 
+def _instance_length(p: str, max_x: int, max_y: int) -> int:
+    """Length of the longest instance of p with |X| <= max_x and |Y| <= max_y."""
+    a, b = variable_counts(p)
+    return a * max_x + b * max_y
+
+
 def _bounded_hit(w: str, p: str, max_x: int, max_y: int) -> dict | None:
     """Counterexample for a bounded instance search: the pattern and the
     least instance of it in w with |X| <= max_x and |Y| <= max_y, or None."""
@@ -126,6 +138,16 @@ def _bounded_hit(w: str, p: str, max_x: int, max_y: int) -> dict | None:
     return {"pattern": p, "start": wit.start, "x": wit.x, "y": wit.y}
 
 
+def _verdict(check_id: str, claim: str, parameters: dict, failures: Iterator[dict],
+             searched_bound: dict) -> VerificationReport:
+    """The report of a check that stops at its first failing clause: the first
+    counterexample ``failures`` yields, or a pass if it yields none.  The
+    generator may update ``searched_bound``, which is read only after it stops."""
+    counter = next(failures, None)
+    return VerificationReport(check_id, claim, parameters, counter is None, counter,
+                              searched_bound)
+
+
 # --- squares and the section-4 constructions --------------------------------------
 
 def vf_square_limited(n: int = 2000, word: str | None = None) -> VerificationReport:
@@ -133,23 +155,20 @@ def vf_square_limited(n: int = 2000, word: str | None = None) -> VerificationRep
     injected = word is not None
     w = word if injected else square_limited_prefix(n)
     squares = collect_squares(w)
-    stray = sorted(squares - ALLOWED_SQUARES)
-    missing = sorted(ALLOWED_SQUARES - squares)
-    counter = None
-    if stray:
-        counter = {"square": stray[0]}
-    elif missing:
-        counter = {"missing_squares": missing}
-    return VerificationReport(
-        check_id="square-limited",
-        claim="every square factor of the square-limited word is one of 00, 11, 0101, "
-              "all three occur, and 1010 never occurs",
-        parameters={"n": n if not injected else len(w), "lookahead": DEFAULT_LOOKAHEAD,
-                    "injected": injected},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"prefix_length": len(w)},
-    )
+
+    def failures():
+        if stray := sorted(squares - ALLOWED_SQUARES):
+            yield {"square": stray[0]}
+        if missing := sorted(ALLOWED_SQUARES - squares):
+            yield {"missing_squares": missing}
+
+    return _verdict(
+        "square-limited",
+        "every square factor of the square-limited word is one of 00, 11, 0101, "
+        "all three occur, and 1010 never occurs",
+        {"n": n if not injected else len(w), "lookahead": DEFAULT_LOOKAHEAD,
+         "injected": injected},
+        failures(), {"prefix_length": len(w)})
 
 
 def mod3_step_violation(w: str) -> str | None:
@@ -163,7 +182,7 @@ def mod3_step_violation(w: str) -> str | None:
 def vf_g_avoidance(n: int = 400) -> VerificationReport:
     """The ternary word g avoids xyxY and xyXY, plus its structure facts."""
     g = g_from(square_limited_prefix(n))
-    cap = min(len(g) // 4, 15)
+    cap = min(len(g) // 4, SQUARE_LIMITED_CAP)
 
     def failures():
         for p in ("xyxY", "xyXY"):
@@ -175,34 +194,31 @@ def vf_g_avoidance(n: int = 400) -> VerificationReport:
             if f in g:
                 yield {"forbidden_factor": f}
 
-    counter = next(failures(), None)
-    return VerificationReport(
-        check_id="g-avoidance",
-        claim="the ternary word g built from the square-limited word avoids xyxY and "
-              "xyXY, has no length-2 factor cd with c = d+1 mod 3, and never contains "
-              "220122201 or 012220122",
-        parameters={"n": n, "lookahead": DEFAULT_LOOKAHEAD, "max_x": cap, "max_y": cap},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"g_length": len(g)},
-    )
+    return _verdict(
+        "g-avoidance",
+        "the ternary word g built from the square-limited word avoids xyxY and "
+        "xyXY, has no length-2 factor cd with c = d+1 mod 3, and never contains "
+        "220122201 or 012220122",
+        {"n": n, "lookahead": DEFAULT_LOOKAHEAD, "max_x": cap, "max_y": cap},
+        failures(), {"g_length": len(g)})
 
 
 def vf_square_limited_xyxyX(n: int = 400) -> VerificationReport:
     """The square-limited word avoids xyxyX (and has no factor 1010)."""
     w = square_limited_prefix(n)
-    cap = min(n // 5, 15)
-    counter = _bounded_hit(w, "xyxyX", cap, cap)
-    if counter is None and "1010" in w:
-        counter = {"factor": "1010"}
-    return VerificationReport(
-        check_id="square-limited-xyxyX",
-        claim="the square-limited word avoids xyxyX; 1010 is not among its factors",
-        parameters={"n": n, "lookahead": DEFAULT_LOOKAHEAD, "max_x": cap, "max_y": cap},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"prefix_length": len(w)},
-    )
+    cap = min(n // 5, SQUARE_LIMITED_CAP)
+
+    def failures():
+        if hit := _bounded_hit(w, "xyxyX", cap, cap):
+            yield hit
+        if "1010" in w:
+            yield {"factor": "1010"}
+
+    return _verdict(
+        "square-limited-xyxyX",
+        "the square-limited word avoids xyxyX; 1010 is not among its factors",
+        {"n": n, "lookahead": DEFAULT_LOOKAHEAD, "max_x": cap, "max_y": cap},
+        failures(), {"prefix_length": len(w)})
 
 
 # --- the four morphic images ------------------------------------------------------
@@ -211,8 +227,9 @@ def vf_w1() -> VerificationReport:
     """w1 = f1(t) avoids xyxYX: no reversible length-7 factor, no short instance."""
     rev_bound = bound_factor_length(7, len(F1[1]))
     tau56, img56, _ = _image_window(F1, 7)
-    inst_bound = bound_factor_length(3 * 6 + 2 * 6, len(F1[1]))
-    tau112, img112, _ = _image_window(F1, 3 * 6 + 2 * 6)
+    inst_len = _instance_length("xyxYX", 6, 6)
+    inst_bound = bound_factor_length(inst_len, len(F1[1]))
+    tau112, img112, _ = _image_window(F1, inst_len)
 
     def failures():
         if not (rev_bound < 7 and inst_bound == 10 and len(tau56) == 56 and len(tau112) == 112):
@@ -222,38 +239,33 @@ def vf_w1() -> VerificationReport:
         if hit := _bounded_hit(img112, "xyxYX", 6, 6):
             yield hit
 
-    counter = next(failures(), None)
-    return VerificationReport(
-        check_id="w1",
-        claim="f1(t) has no length-7 factor z with z reversed also a factor, and no "
-              "instance of xyxYX with |X|,|Y| <= 6; hence w1 avoids xyxYX",
-        parameters={"reversible_length": 7, "max_x": 6, "max_y": 6},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"tm_prefix_reversible": len(tau56), "tm_prefix_instances": len(tau112),
-                        "factor_bounds": [rev_bound, inst_bound]},
-    )
+    return _verdict(
+        "w1",
+        "f1(t) has no length-7 factor z with z reversed also a factor, and no "
+        "instance of xyxYX with |X|,|Y| <= 6; hence w1 avoids xyxYX",
+        {"reversible_length": 7, "max_x": 6, "max_y": 6},
+        failures(), {"tm_prefix_reversible": len(tau56), "tm_prefix_instances": len(tau112),
+                     "factor_bounds": [rev_bound, inst_bound]})
 
 
 def vf_w2() -> VerificationReport:
     """w2 = f2(t) avoids xyXYx."""
-    tau, img, _ = _image_window(F2, 3 * 6 + 2 * 6)
-    counter = None
-    if len(tau) != 112:
-        counter = {"derived_prefix": len(tau)}
-    elif len(img) != 504:
-        counter = {"image_length": len(img)}
-    else:
-        counter = _bounded_hit(img, "xyXYx", 6, 6)
-    return VerificationReport(
-        check_id="w2",
-        claim="f2(t) restricted to the covering prefix (length 504) has no instance "
-              "of xyXYx with |X|,|Y| <= 6; hence w2 avoids xyXYx",
-        parameters={"max_x": 6, "max_y": 6},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"tm_prefix": len(tau), "image_length": len(img)},
-    )
+    tau, img, _ = _image_window(F2, _instance_length("xyXYx", 6, 6))
+
+    def failures():
+        if len(tau) != 112:
+            yield {"derived_prefix": len(tau)}
+        if len(img) != 504:
+            yield {"image_length": len(img)}
+        if hit := _bounded_hit(img, "xyXYx", 6, 6):
+            yield hit
+
+    return _verdict(
+        "w2",
+        "f2(t) restricted to the covering prefix (length 504) has no instance "
+        "of xyXYx with |X|,|Y| <= 6; hence w2 avoids xyXYx",
+        {"max_x": 6, "max_y": 6},
+        failures(), {"tm_prefix": len(tau), "image_length": len(img)})
 
 
 def _context_sets(w: str, y: str) -> tuple[set[str], set[str]]:
@@ -279,7 +291,7 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
     windows = {
         "reversible": _image_window(F3, 6),
         "contexts": _image_window(F3, 9),
-        "instances": _image_window(F3, 3 * 8 + 2 * 2),
+        "instances": _image_window(F3, _instance_length("xyxYx", 8, 2)),
         "completions": _image_window(F3, completion_len),
     }
     tau, w, _ = max(windows.values(), key=lambda window: len(window[0]))
@@ -348,7 +360,7 @@ def vf_w3_contexts_repaired() -> VerificationReport:
     completion machinery for |X| >= 9 this is what the avoidance proof
     consumes.
     """
-    tau, w, _ = _image_window(F3, 3 * 8 + 2 * 6)
+    tau, w, _ = _image_window(F3, _instance_length("xyxYx", 8, 6))
 
     def failures():
         for y in CONTEXT_TABLE:
@@ -360,17 +372,13 @@ def vf_w3_contexts_repaired() -> VerificationReport:
         if hit := _bounded_hit(w, "xyxYx", 8, 6):
             yield hit
 
-    counter = next(failures(), None)
-    return VerificationReport(
-        check_id="w3-contexts-repaired",
-        claim="non-palindromic reversible factors of w3 outside {0,1,00} fail one of "
-              "the two-sided context sets, and no instance of xyxYx with |X| <= 8 and "
-              "|Y| <= 6 occurs at all",
-        parameters={"max_x": 8, "max_y": 6},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"tm_prefix": len(tau), "image_length": len(w)},
-    )
+    return _verdict(
+        "w3-contexts-repaired",
+        "non-palindromic reversible factors of w3 outside {0,1,00} fail one of "
+        "the two-sided context sets, and no instance of xyxYx with |X| <= 8 and "
+        "|Y| <= 6 occurs at all",
+        {"max_x": 8, "max_y": 6},
+        failures(), {"tm_prefix": len(tau), "image_length": len(w)})
 
 
 def internal_factors(w: str, min_len: int) -> set[str]:
@@ -380,7 +388,8 @@ def internal_factors(w: str, min_len: int) -> set[str]:
 
 def vf_w4() -> VerificationReport:
     """The finite searches behind: w4 = f4(t) avoids xyXyx."""
-    windows = [_image_window(F4, 21), _image_window(F4, 3 * 20 + 2 * 5), _image_window(F4, 26)]
+    windows = [_image_window(F4, 21), _image_window(F4, _instance_length("xyXyx", 20, 5)),
+               _image_window(F4, 26)]
     rev_prefix, inst_prefix, bis_prefix = (len(tau) for tau, _, _ in windows)
     tau, w, at = max(windows, key=lambda window: len(window[0]))
 
@@ -423,20 +432,16 @@ def vf_w4() -> VerificationReport:
             if len(y) >= 6 and y not in images:
                 yield {"clause": "bispecial", "factor": y}
 
-    counter = next(failures(), None)
-    return VerificationReport(
-        check_id="w4",
-        claim="f4(t): no reversible length-21 factor, no instance of xyXyx with "
-              "|X|<=20,|Y|<=5 in the covering image, 011 occurs only as an image-block "
-              "suffix, the six long internal factors of f4(1) stay inside blocks, and "
-              "long bispecial factors are image words",
-        parameters={"max_x": 20, "max_y": 5, "bispecial_range": [6, 24]},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"tm_prefix": len(tau),
-                        "per_clause": {"reversible": rev_prefix, "instances": inst_prefix,
-                                       "bispecial": bis_prefix}},
-    )
+    return _verdict(
+        "w4",
+        "f4(t): no reversible length-21 factor, no instance of xyXyx with "
+        "|X|<=20,|Y|<=5 in the covering image, 011 occurs only as an image-block "
+        "suffix, the six long internal factors of f4(1) stay inside blocks, and "
+        "long bispecial factors are image words",
+        {"max_x": 20, "max_y": 5, "bispecial_range": [6, 24]},
+        failures(), {"tm_prefix": len(tau),
+                     "per_clause": {"reversible": rev_prefix, "instances": inst_prefix,
+                                    "bispecial": bis_prefix}})
 
 
 # --- unavoidability, the alternating word, and the classifier oracle --------------
@@ -445,39 +450,32 @@ def vf_pigeonhole(k: int = 2) -> VerificationReport:
     """Every word of length 2k+1 over k letters contains xyx and xyX."""
     length = 2 * k + 1
     digits = "".join(str(d) for d in range(k))
-    total = 0
+    searched_bound = {"words_checked": 0}
 
     def failures():
-        nonlocal total
         for tup in product(digits, repeat=length):
             w = "".join(tup)
-            total += 1
+            searched_bound["words_checked"] += 1
             for p in ("xyx", "xyX"):
                 if find_instance(w, p) is None:
                     yield {"word": w, "pattern": p}
 
-    counter = next(failures(), None)
-    return VerificationReport(
-        check_id="pigeonhole",
-        claim=f"every word of length {length} over {k} letters contains an instance "
-              "of xyx and of xyX",
-        parameters={"k": k, "word_length": length},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"words_checked": total},
-    )
+    return _verdict(
+        "pigeonhole",
+        f"every word of length {length} over {k} letters contains an instance "
+        "of xyx and of xyX",
+        {"k": k, "word_length": length}, failures(), searched_bound)
 
 
 def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
     """Graph bipartiteness coincides with having an instance in 0101..."""
-    checked = 0
+    searched_bound = {"patterns_checked": 0, "image_bounds": [2, 2]}
 
     def failures():
-        nonlocal checked
         for length in range(2, max_len + 1):
             for tup in product(PATTERN_ALPHABET, repeat=length):
                 p = "".join(tup)
-                checked += 1
+                searched_bound["patterns_checked"] += 1
                 bip = bipartite_check(pattern_graph(p)).is_bipartite
                 host = alternating_prefix(4 * length + 4)
                 brute = find_instance_bounded(host, p, 2, 2) is not None
@@ -486,17 +484,12 @@ def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
                     yield {"pattern": p, "bipartite": bip, "brute_force": brute,
                            "construction": construction}
 
-    counter = next(failures(), None)
-    return VerificationReport(
-        check_id="alternating",
-        claim="for every pattern of length 2..{}: the pattern graph is 2-colorable "
-              "exactly when 0101... contains an instance (images of 1 or 2 letters "
-              "suffice)".format(max_len),
-        parameters={"max_len": max_len},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"patterns_checked": checked, "image_bounds": [2, 2]},
-    )
+    return _verdict(
+        "alternating",
+        "for every pattern of length 2..{}: the pattern graph is 2-colorable "
+        "exactly when 0101... contains an instance (images of 1 or 2 letters "
+        "suffice)".format(max_len),
+        {"max_len": max_len}, failures(), searched_bound)
 
 
 def _class_search(c: str, k: int, depth: int,
@@ -559,39 +552,35 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
     searches: dict[tuple[str, int], BacktrackReport] = {}
     verdicts: dict[str, tuple] = {}
     witness_factors: dict[str, str] = {}
-    checked = 0
+    searched_bound = {"patterns_checked": 0, "classes_searched": 0, "prove_nodes": 0,
+                      "witness_factors": witness_factors}
 
     def failures():
-        nonlocal checked
         for length in range(1, max_len + 1):
             for tup in product(PATTERN_ALPHABET, repeat=length):
                 p = "".join(tup)
-                checked += 1
+                searched_bound["patterns_checked"] += 1
                 c = canonical(p)
                 if c not in verdicts:
                     verdicts[c] = _class_verdict(c, avoider_len, unavoidable_depth, searches,
                                                  witness_factors)
+                    nodes = sum(r.nodes_visited for r in searches.values())
+                    searched_bound.update(classes_searched=len(verdicts), prove_nodes=nodes)
                 searched, problem = verdicts[c]
                 if problem is None and classify(p) is not searched:
                     problem = {"classifier": classify(p).value, "search": searched.value}
                 if problem is not None:
                     yield {"pattern": p, **problem}
 
-    counter = next(failures(), None)
-    return VerificationReport(
-        check_id="classifier-oracle",
-        claim="for every pattern up to length {}: index 2 iff a binary avoider of "
-              "length {} exists, unavoidable iff the ternary tree dies below depth "
-              "{}, index 3 otherwise with a ternary avoider found".format(
-                  max_len, avoider_len, unavoidable_depth),
-        parameters={"max_len": max_len, "avoider_len": avoider_len,
-                    "unavoidable_depth": unavoidable_depth},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"patterns_checked": checked, "classes_searched": len(verdicts),
-                        "prove_nodes": sum(r.nodes_visited for r in searches.values()),
-                        "witness_factors": witness_factors},
-    )
+    return _verdict(
+        "classifier-oracle",
+        "for every pattern up to length {}: index 2 iff a binary avoider of "
+        "length {} exists, unavoidable iff the ternary tree dies below depth "
+        "{}, index 3 otherwise with a ternary avoider found".format(
+            max_len, avoider_len, unavoidable_depth),
+        {"max_len": max_len, "avoider_len": avoider_len,
+         "unavoidable_depth": unavoidable_depth},
+        failures(), searched_bound)
 
 
 def vf_classical_seed_avoiders(witness_len: int = 200,
@@ -617,18 +606,14 @@ def vf_classical_seed_avoiders(witness_len: int = 200,
         if not (sub := vf_square_limited_xyxyX()).passed:
             yield {"square_limited": sub.counterexample}
 
-    counter = next(failures(), None)
-    return VerificationReport(
-        check_id="classical-seeds",
-        claim="each of the five classical seeds has a binary avoider of length "
-              f"{witness_len}; the Thue-Morse prefix of length {overlap_prefix} is "
-              "overlap-free; the square-limited word avoids xyxyX",
-        parameters={"witness_len": witness_len, "matcher_prefix": matcher_prefix,
-                    "overlap_prefix": overlap_prefix},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"overlap_scan": overlap_prefix, "matcher_scan": matcher_prefix},
-    )
+    return _verdict(
+        "classical-seeds",
+        "each of the five classical seeds has a binary avoider of length "
+        f"{witness_len}; the Thue-Morse prefix of length {overlap_prefix} is "
+        "overlap-free; the square-limited word avoids xyxyX",
+        {"witness_len": witness_len, "matcher_prefix": matcher_prefix,
+         "overlap_prefix": overlap_prefix},
+        failures(), {"overlap_scan": overlap_prefix, "matcher_scan": matcher_prefix})
 
 
 # --- factor-locality of morphic images and Thue-Morse windows ---------------------
@@ -639,79 +624,66 @@ def vf_image_locality(morphism: str, max_len: int = 30) -> VerificationReport:
         raise ValueError("image locality applies to f1, f2, f3 or f4")
     m = MORPHISMS[morphism]
     tau, img, _ = _image_window(m, max_len)
-    checked = 0
+    searched_bound = {"image_prefix": len(tau), "factors_checked": 0}
 
     def failures():
-        nonlocal checked
         for length in range(1, max_len + 1):
             bound = bound_factor_length(length, len(m[1]))
             # the images of the Thue-Morse factors of length bound
             src_tau, src, at = _image_window(m, length)
             images = {src[at[i]:at[i + bound]] for i in range(len(src_tau) - bound + 1)}
             for u in sorted(factor_set(img, length)):
-                checked += 1
+                searched_bound["factors_checked"] += 1
                 if not any(u in s for s in images):
                     yield {"factor": u, "bound": bound}
 
-    counter = next(failures(), None)
-    return VerificationReport(
-        check_id=f"image-locality-{morphism}",
-        claim=f"every factor of {morphism}(t) up to length {max_len} is a factor of "
-              f"{morphism}(v) for a Thue-Morse factor v within the derived length bound",
-        parameters={"morphism": morphism, "max_len": max_len},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"image_prefix": len(tau), "factors_checked": checked},
-    )
+    return _verdict(
+        f"image-locality-{morphism}",
+        f"every factor of {morphism}(t) up to length {max_len} is a factor of "
+        f"{morphism}(v) for a Thue-Morse factor v within the derived length bound",
+        {"morphism": morphism, "max_len": max_len}, failures(), searched_bound)
 
 
 def vf_tm_prefix_covering(max_exp: int = 6, big_len: int = 7 * 256) -> VerificationReport:
     """Factors of length 2**e + 1 all occur in their covering prefix, of length 7 * 2**e."""
     big = thue_morse_prefix(big_len)
-    counter = None
-    for e in range(max_exp + 1):
-        flen = (1 << e) + 1
-        window = thue_morse_prefix(covering_prefix_length(flen))
-        stray = factor_set(big, flen) - factor_set(window, flen)
-        if stray:
-            counter = {"exp": e, "factor": sorted(stray)[0]}
-            break
-    return VerificationReport(
-        check_id="tm-prefix-covering",
-        claim=f"for e = 0..{max_exp}, every factor of Thue-Morse of length 2^e + 1 "
-              "occurs in the prefix of length 7 * 2^e",
-        parameters={"max_exp": max_exp, "big_len": big_len},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"host_prefix": big_len},
-    )
+
+    def failures():
+        for e in range(max_exp + 1):
+            flen = (1 << e) + 1
+            window = thue_morse_prefix(covering_prefix_length(flen))
+            if stray := factor_set(big, flen) - factor_set(window, flen):
+                yield {"exp": e, "factor": sorted(stray)[0]}
+
+    return _verdict(
+        "tm-prefix-covering",
+        f"for e = 0..{max_exp}, every factor of Thue-Morse of length 2^e + 1 "
+        "occurs in the prefix of length 7 * 2^e",
+        {"max_exp": max_exp, "big_len": big_len}, failures(), {"host_prefix": big_len})
 
 
 def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
     """Odd-length factors come from images of half-length factors under h."""
     host = thue_morse_prefix(prefix_len)
-    counter = cover = None
-    for length in range(1, prefix_len + 1, 2):
-        half = (length + 1) // 2
-        # h doubles every letter, so the words h(v) less one letter at either
-        # end, over the factors v of tau of half letters, are exactly the
-        # factors of h(tau) of this odd length
-        n = covering_prefix_length(half)
-        if n != cover:  # n grows with half: one image per covering length
-            cover, image = n, apply_binary_morphism(H, thue_morse_prefix(n))
-        stray = {u for u in factor_set(host, length) if u not in image}
-        if stray:
-            counter = {"length": length, "factor": sorted(stray)[0]}
-            break
-    return VerificationReport(
-        check_id="tm-desubstitution",
-        claim=f"every odd-length factor of the length-{prefix_len} Thue-Morse prefix "
-              "is a factor of h(v) for a factor v of half its rounded-up length",
-        parameters={"prefix_len": prefix_len},
-        passed=counter is None,
-        counterexample=counter,
-        searched_bound={"host_prefix": prefix_len},
-    )
+
+    def failures():
+        cover = None
+        for length in range(1, prefix_len + 1, 2):
+            half = (length + 1) // 2
+            # h doubles every letter, so the words h(v) less one letter at either
+            # end, over the factors v of tau of half letters, are exactly the
+            # factors of h(tau) of this odd length
+            n = covering_prefix_length(half)
+            if n != cover:  # n grows with half: one image per covering length
+                cover, image = n, apply_binary_morphism(H, thue_morse_prefix(n))
+            if stray := {u for u in factor_set(host, length) if u not in image}:
+                yield {"length": length, "factor": sorted(stray)[0]}
+
+    return _verdict(
+        "tm-desubstitution",
+        f"every odd-length factor of the length-{prefix_len} Thue-Morse prefix "
+        "is a factor of h(v) for a factor v of half its rounded-up length",
+        {"prefix_len": prefix_len}, failures(), {"host_prefix": prefix_len})
 
 
 # --- registry ---------------------------------------------------------------------

@@ -206,6 +206,10 @@ def test_a_library_value_error_is_a_usage_error(argv, message, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert run(["generate", "thue-morse"]) == 2  # missing --length
+    # _dispatch runs verify for any command that is not another one: argparse
+    # must reject a missing or unknown command before it is called
+    assert run([]) == 2
+    assert run(["nope"]) == 2
 
 
 def test_search_has_one_depth_flag(capsys):

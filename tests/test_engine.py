@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from revpat import engine
 from revpat.engine import (
     Avoidability,
     SEED_PARTITION,
@@ -245,6 +246,13 @@ def test_instance_in_alternating():
     # y-only pattern gets a y assignment
     x, y = instance_in_alternating("yy")
     assert x is None and apply_morphism("yy", y=y) in alternating_prefix(20)
+
+
+def test_instance_in_alternating_rejects_an_image_outside_the_word(monkeypatch):
+    # an assignment whose image 0101... does not contain is an error, never an answer
+    monkeypatch.setattr(engine, "_colored_image", lambda first, last: "00")
+    with pytest.raises(RuntimeError, match="missing from the alternating word"):
+        instance_in_alternating("xx")
 
 
 def test_instance_in_alternating_matches_brute_force():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import product
 
 import pytest
@@ -102,6 +103,13 @@ def test_square_limited_extension_never_revises_the_emitted_floor():
     word = bytearray(b"01101")
     seq._extend_square_limited(word, 6, 0)
     assert len(word) == 6 and word[:3] == b"011" and _allowed_squares_only(word.decode())
+
+
+def test_square_limited_extension_cannot_backtrack_past_the_first_letter(monkeypatch):
+    # a rule that forbids every word leaves no first letter to revise
+    monkeypatch.setattr(seq, "_FORBIDDEN_SQUARE", re.compile(b""))
+    with pytest.raises(RuntimeError, match="backtracked past position 0"):
+        seq._extend_square_limited(bytearray(), 3, 0)
 
 
 def test_square_limited_prefix_4000_is_pinned(monkeypatch):

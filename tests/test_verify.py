@@ -1,8 +1,11 @@
+import ast
 import functools
 import inspect
 import json
 import random
+import sys
 from math import inf
+from pathlib import Path
 
 import pytest
 
@@ -466,16 +469,65 @@ FAILING_CLAUSES = [
 ]
 
 
-@pytest.mark.parametrize("check_id, params, patches, expected",
-                         [pytest.param(*row[:4], id=f"{row[0]}:{row[4]}")
-                          for row in FAILING_CLAUSES])
-def test_a_failing_clause_fails_its_check(check_id, params, patches, expected, monkeypatch):
+_ROWS = {f"{row[0]}:{row[4]}": row[:4] for row in FAILING_CLAUSES}
+
+
+def _run_failing(monkeypatch, check_id, params, patches):
     for name, value in patches.items():
         monkeypatch.setattr(verify, name, value)
     [report] = run_checks(only=check_id, params=params)
+    return report
+
+
+@pytest.mark.parametrize("check_id, params, patches, expected",
+                         [pytest.param(*row, id=row_id) for row_id, row in _ROWS.items()])
+def test_a_failing_clause_fails_its_check(check_id, params, patches, expected, monkeypatch):
+    report = _run_failing(monkeypatch, check_id, params, patches)
     assert report.passed is False
     assert report.counterexample == expected
 
 
 def test_every_check_has_a_failing_clause_under_test():
     assert {row[0] for row in FAILING_CLAUSES} == set(CHECKS)
+    assert len(_ROWS) == len(FAILING_CLAUSES)  # no two rows share an id
+
+
+# A failing report's searched_bound holds the counts reached at its failing clause.
+FAILING_COUNTS = {
+    "pigeonhole:xyX": {"words_checked": 1},
+    "alternating:construction": {"patterns_checked": 1, "image_bounds": [2, 2]},
+    "image-locality-f1:factor": {"image_prefix": 28, "factors_checked": 1},
+    "classifier-oracle:refuted-witness": {"patterns_checked": 5, "classes_searched": 2,
+                                          "prove_nodes": 91, "witness_factors": {"xx": "xx"}},
+}
+
+
+@pytest.mark.parametrize("row_id", FAILING_COUNTS)
+def test_a_failing_report_counts_what_it_searched_up_to_its_failure(row_id, monkeypatch):
+    check_id, params, patches, _ = _ROWS[row_id]
+    report = _run_failing(monkeypatch, check_id, params, patches)
+    assert report.searched_bound == FAILING_COUNTS[row_id]
+
+
+def test_every_yield_in_verify_is_reached_by_a_failing_clause(monkeypatch):
+    tree = ast.parse(Path(verify.__file__).read_text())
+    yields = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Yield)}
+    reached = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            reached.add(frame.f_lineno)
+        return line
+
+    def call(frame, event, arg):  # trace the lines of verify.py frames only
+        return line if frame.f_code.co_filename == verify.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        for row in _ROWS.values():
+            with monkeypatch.context() as patched:
+                _run_failing(patched, *row[:3])
+    finally:
+        sys.settrace(previous)
+    assert yields and sorted(yields - reached) == []
