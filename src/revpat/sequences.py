@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 
 from .matcher import parse_word
 
@@ -233,12 +233,21 @@ def tm_factor_images(m: tuple[str, str], max_factor_len: int) -> frozenset[str]:
                       for i in range(len(tau) - length + 1)})
 
 
+# Letters at the end of an image that key its bucket in ``_images_by_tail``.
+_TAIL = 8
+
+
 @lru_cache(maxsize=32)
-def _max_image_suffix(m: tuple[str, str], max_factor_len: int) -> dict[str, int]:
-    """For each image v: the length of its longest proper suffix that is
-    itself an image (0 when none)."""
+def _images_by_tail(m: tuple[str, str], max_factor_len: int) -> dict[str, dict[str, int]]:
+    """For each image v, the length of its longest proper suffix that is
+    itself an image (0 when none), bucketed by the last ``_TAIL`` letters of
+    v (all of v when shorter)."""
     images = tm_factor_images(m, max_factor_len)
-    return {v: next((n for n in range(len(v) - 1, 0, -1) if v[-n:] in images), 0) for v in images}
+    buckets: dict[str, dict[str, int]] = {}
+    for v in images:
+        suffix_len = next((n for n in range(len(v) - 1, 0, -1) if v[-n:] in images), 0)
+        buckets.setdefault(v[-_TAIL:], {})[v] = suffix_len
+    return buckets
 
 
 def left_completions(u: str, m: tuple[str, str], max_factor_len: int = 64) -> list[str]:
@@ -248,14 +257,20 @@ def left_completions(u: str, m: tuple[str, str], max_factor_len: int = 64) -> li
     proper suffix of v that is itself an image of a Thue-Morse factor; since u
     and those suffixes are all suffixes of v, the latter just means no proper
     image-suffix of v has length >= |u|.  The search covers images of factors
-    up to max_factor_len letters.
+    up to max_factor_len letters.  Only images whose bucket key ends in u can
+    end in u, so a u of ``_TAIL`` letters or more reads one bucket and a
+    shorter u the few buckets whose key ends in it.
     """
     if not u:
         raise ValueError("left completions are defined for non-empty factors")
     if m[0] != "0":
         raise ValueError("left completions expect a morphism fixing 0")
-    found = (v for v, suffix_len in _max_image_suffix(m, max_factor_len).items()
-             if suffix_len < len(u) and v.endswith(u))
+    buckets = _images_by_tail(m, max_factor_len)
+    if len(u) >= _TAIL:
+        candidates = buckets.get(u[-_TAIL:], {}).items()
+    else:
+        candidates = chain.from_iterable(b.items() for tail, b in buckets.items() if tail.endswith(u))
+    found = (v for v, suffix_len in candidates if suffix_len < len(u) and v.endswith(u))
     return sorted(found, key=lambda v: (len(v), v))
 
 

@@ -219,6 +219,37 @@ def test_left_completion_examples():
         left_completions("11", H)
 
 
+def _left_completions_by_scan(u, suffix_lengths):
+    """Every image v ending in u with no proper image-suffix as long as u, read
+    off a linear scan of the whole table of image suffix lengths."""
+    return sorted((v for v, suffix_len in suffix_lengths.items()
+                   if suffix_len < len(u) and v.endswith(u)), key=lambda v: (len(v), v))
+
+
+def _image_suffix_lengths(m, bound):
+    images = tm_factor_images(m, bound)
+    return {v: next((n for n in range(len(v) - 1, 0, -1) if v[-n:] in images), 0) for v in images}
+
+
+@pytest.mark.parametrize("m", [F1, F2, F3, F4], ids=["f1", "f2", "f3", "f4"])
+def test_left_completions_match_a_linear_scan(m):
+    word = apply_binary_morphism(m, thue_morse_prefix(300))[:300]
+    for bound in (24, 64):
+        suffix_lengths = _image_suffix_lengths(m, bound)
+        longest = max(suffix_lengths, key=len)
+        edge_cases = [
+            "1", "01", "0010110",  # shorter than a bucket key
+            longest, min(suffix_lengths, key=len),  # a whole image
+            "0" + longest,  # longer than every image
+            "2", "12", "0101101112",  # not binary
+        ]
+        factors_of_word = [u for length in range(1, 26) for u in sorted(factor_set(word, length))]
+        for u in factors_of_word + edge_cases:
+            assert left_completions(u, m, bound) == _left_completions_by_scan(u, suffix_lengths), u
+        assert left_completions(longest, m, bound) == [longest]
+        assert left_completions("0" + longest, m, bound) == []
+
+
 def test_overlap_scan_examples():
     assert contains_overlap("000") == "000"
     assert contains_overlap("0101101101") == "1011011"  # start 1, period 3

@@ -17,6 +17,7 @@ from revpat.sequences import (
     ALLOWED_SQUARES,
     F2,
     F4,
+    H,
     apply_binary_morphism,
     covering_prefix_length,
     factor_set,
@@ -278,17 +279,55 @@ def test_w3_pins_the_degenerate_context_clause():
         assert "000" + chi in w
 
 
-def test_tm_desubstitution_negative_control(monkeypatch):
-    def corrupted(n):
+def _flipped_at(position, prefix_len):
+    """thue_morse_prefix with letter ``position`` of the length-prefix_len host flipped."""
+    def prefix(n):
         t = thue_morse_prefix(n)
-        return t[:300] + "10"[int(t[300])] + t[301:] if n == 512 else t
+        return t[:position] + "10"[int(t[position])] + t[position + 1:] if n == prefix_len else t
+    return prefix
 
+
+def test_tm_desubstitution_negative_control(monkeypatch):
+    corrupted = _flipped_at(300, 512)
     monkeypatch.setattr(verify, "thue_morse_prefix", corrupted)
     report = vf_tm_desubstitution()
     assert not report.passed
     assert set(report.counterexample) == {"length", "factor"}
     factor = report.counterexample["factor"]
     assert factor in corrupted(512) and factor not in thue_morse_prefix(4096)
+
+
+def _desubstitution_by_enumeration(host):
+    """The tm-desubstitution clause with every length's factors enumerated:
+    the first counterexample, or None."""
+    for length in range(1, len(host) + 1, 2):
+        image = apply_binary_morphism(H, thue_morse_prefix(covering_prefix_length((length + 1) // 2)))
+        if stray := {u for u in factor_set(host, length) if u not in image}:
+            return {"length": length, "factor": sorted(stray)[0]}
+    return None
+
+
+@pytest.mark.parametrize("prefix_len, flipped", [
+    (1, None), (7, None), (64, None), (512, None), (512, 300), (512, 450), (512, 511)])
+def test_tm_desubstitution_matches_full_enumeration(prefix_len, flipped, monkeypatch):
+    if flipped is not None:
+        monkeypatch.setattr(verify, "thue_morse_prefix", _flipped_at(flipped, prefix_len))
+    report = vf_tm_desubstitution(prefix_len)
+    expected = _desubstitution_by_enumeration(verify.thue_morse_prefix(prefix_len))
+    assert (expected is None) is (flipped is None)  # every flipped host fails
+    assert report.passed is (expected is None)
+    assert report.counterexample == expected
+    # every odd length up to the failing one (or to the end) is counted once
+    last = expected["length"] if expected else prefix_len
+    counts = report.searched_bound
+    assert counts["lengths_by_containment"] + counts["lengths_enumerated"] == (last + 1) // 2
+
+
+def test_tm_desubstitution_settles_long_lengths_by_containment():
+    # h(tau) of the covering prefix for halves 34..65 (448 letters) already
+    # holds the 512-letter host, so every length from 67 on is settled by it
+    assert vf_tm_desubstitution(512).searched_bound == {
+        "host_prefix": 512, "lengths_by_containment": 223, "lengths_enumerated": 33}
 
 
 def test_w3_repaired_contexts_pass():
@@ -499,6 +538,8 @@ FAILING_COUNTS = {
     "image-locality-f1:factor": {"image_prefix": 28, "factors_checked": 1},
     "classifier-oracle:refuted-witness": {"patterns_checked": 5, "classes_searched": 2,
                                           "prove_nodes": 91, "witness_factors": {"xx": "xx"}},
+    "tm-desubstitution:image": {"host_prefix": 64, "lengths_by_containment": 0,
+                                "lengths_enumerated": 1},
 }
 
 
