@@ -236,6 +236,9 @@ def tm_factor_images(m: tuple[str, str], max_factor_len: int) -> frozenset[str]:
 # Letters at the end of an image that key its bucket in ``_images_by_tail``.
 _TAIL = 8
 
+# Longest Thue-Morse factor whose image ``left_completions`` searches by default.
+COMPLETION_FACTOR_BOUND = 64
+
 
 @lru_cache(maxsize=32)
 def _images_by_tail(m: tuple[str, str], max_factor_len: int) -> dict[str, dict[str, int]]:
@@ -250,7 +253,8 @@ def _images_by_tail(m: tuple[str, str], max_factor_len: int) -> dict[str, dict[s
     return buckets
 
 
-def left_completions(u: str, m: tuple[str, str], max_factor_len: int = 64) -> list[str]:
+def left_completions(u: str, m: tuple[str, str],
+                     max_factor_len: int = COMPLETION_FACTOR_BOUND) -> list[str]:
     """All image words v = m(t) ending in u whose shorter image-suffixes miss u.
 
     A word v qualifies when u is a suffix of v but u is not a suffix of any

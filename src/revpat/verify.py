@@ -6,11 +6,11 @@ search bounds, and a concrete counterexample whenever the check fails.
 ``run_checks`` drives the whole registry; the CLI ``verify`` command is a
 thin wrapper around it.
 
-Every check but ``w3`` yields the counterexample of each failing clause,
-in clause order, from a local ``failures()`` generator and hands it to
-``_verdict``, which takes the first and stops there: a failing report's
-``searched_bound`` holds the counts reached at that clause.  ``w3`` alone
-evaluates every clause and reports each one that fails.
+Every check yields the counterexample of each failing clause, in clause
+order, from a local ``failures()`` generator and hands it to ``_verdict``,
+which takes the first and stops there: a failing report's ``searched_bound``
+holds the counts reached at that clause.  ``w3`` evaluates all its clauses
+before it yields one counterexample that names each clause that fails.
 
 Prefix lengths for the w1..w4 checks are derived at run time from
 ``bound_factor_length`` and the Thue-Morse covering arithmetic rather than
@@ -42,6 +42,7 @@ from .matcher import avoids, find_instance, find_instance_bounded
 from .patterns import PATTERN_ALPHABET, canonical, factors, pattern_key, variable_counts
 from .sequences import (
     ALLOWED_SQUARES,
+    COMPLETION_FACTOR_BOUND,
     DEFAULT_LOOKAHEAD,
     F1,
     F2,
@@ -277,16 +278,17 @@ def _context_sets(w: str, y: str) -> tuple[set[str], set[str]]:
     return left, right
 
 
-def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> VerificationReport:
+def vf_w3(completion_len: int = 24) -> VerificationReport:
     """The five finite searches behind: w3 = f3(t) avoids xyxYx.
 
-    Clauses are evaluated independently.  The context-set clause is checked
-    exactly as claimed and is KNOWN TO FAIL for the nine palindromic table
-    entries: for a palindrome y the two conditions defining each context set
-    collapse to one, and w3 really does contain, e.g., 011000, 110000,
-    000101 and 000010 (junction factors around image blocks), so both sets
-    are non-empty for y = 000.  The repaired decomposition that the avoidance
-    theorem actually needs is checked by vf_w3_contexts_repaired.
+    Every clause is evaluated, and a failing report names each clause that
+    fails.  The context-set clause is checked exactly as claimed and is KNOWN
+    TO FAIL for the nine palindromic table entries: for a palindrome y the
+    two conditions defining each context set collapse to one, and w3 really
+    does contain, e.g., 011000, 110000, 000101 and 000010 (junction factors
+    around image blocks), so both sets are non-empty for y = 000.  The
+    repaired decomposition that the avoidance theorem actually needs is
+    checked by vf_w3_contexts_repaired.
     """
     windows = {
         "reversible": _image_window(F3, 6),
@@ -296,58 +298,48 @@ def vf_w3(completion_len: int = 24, completion_factor_bound: int = 64) -> Verifi
     }
     tau, w, _ = max(windows.values(), key=lambda window: len(window[0]))
     clauses: dict[str, bool] = {}
-    details: dict[str, object] = {}
 
-    def record(name: str, evidence: object) -> None:  # empty evidence: the clause holds
-        clauses[name] = not evidence
-        if evidence:
-            details[name] = evidence
+    def failures():
+        evidence: dict[str, object] = {}  # empty evidence: the clause holds
 
-    # (a) words readable both ways lie in the fixed 22-element set
-    stray = set()
-    for length in range(1, 7):
-        stray |= reversible_factors(w, length) - UPSILON
-    record("reversible", sorted(stray))
+        # (a) words readable both ways lie in the fixed 22-element set
+        stray = set().union(*(reversible_factors(w, length) for length in range(1, 7)))
+        evidence["reversible"] = sorted(stray - UPSILON)
 
-    # (b) no length-3 context works on both sides of y and its reversal
-    violations = {}
-    for y in CONTEXT_TABLE:
-        left, right = _context_sets(w, y)
-        if left and right:
-            violations[y] = {"left": sorted(left), "right": sorted(right)}
-    record("contexts", violations)
+        # (b) no length-3 context works on both sides of y and its reversal
+        evidence["contexts"] = {}
+        for y in CONTEXT_TABLE:
+            left, right = _context_sets(w, y)
+            if left and right:
+                evidence["contexts"][y] = {"left": sorted(left), "right": sorted(right)}
 
-    # (c) no short instance of xyxYx
-    record("instances", _bounded_hit(w, "xyxYx", 8, 2))
+        # (c) no short instance of xyxYx
+        evidence["instances"] = _bounded_hit(w, "xyxYx", 8, 2)
 
-    # (d) every length-9 factor contains 11
-    record("length-9", sorted(z for z in factor_set(w, 9) if "11" not in z)[:3])
+        # (d) every length-9 factor contains 11
+        evidence["length-9"] = sorted(z for z in factor_set(w, 9) if "11" not in z)[:3]
 
-    # (e) factors ending in 11 have exactly one left completion
-    completion_failures = {}
-    for length in range(2, completion_len + 1):
-        for u in sorted(factor_set(w, length)):
-            if u.endswith("11"):
-                found = left_completions(u, F3, completion_factor_bound)
-                if len(found) != 1:
-                    completion_failures[u] = found
-    record("completions", completion_failures)
+        # (e) factors ending in 11 have exactly one left completion
+        evidence["completions"] = {}
+        for length in range(2, completion_len + 1):
+            for u in sorted(factor_set(w, length)):
+                if u.endswith("11") and len(found := left_completions(u, F3)) != 1:
+                    evidence["completions"][u] = found
 
-    failed = [name for name, ok in clauses.items() if not ok]
-    return VerificationReport(
-        check_id="w3",
-        claim="f3(t): reversible factors up to length 6 lie in the 22-word table, "
-              "their two-sided length-3 contexts never coexist outside {0,1,00}, no "
-              "instance of xyxYx with |X|<=8,|Y|<=2, every length-9 factor contains "
-              "11, and factors ending in 11 have unique left completions",
-        parameters={"completion_len": completion_len,
-                    "completion_factor_bound": completion_factor_bound},
-        passed=not failed,
-        counterexample={"clauses": failed, "details": details} if failed else None,
-        searched_bound={"tm_prefix": len(tau),
-                        "per_clause": {clause: len(t) for clause, (t, _, _) in windows.items()},
-                        "image_length": len(w), "clause_results": clauses},
-    )
+        clauses.update({name: not ev for name, ev in evidence.items()})
+        if failed := [name for name, ok in clauses.items() if not ok]:
+            yield {"clauses": failed, "details": {name: evidence[name] for name in failed}}
+
+    return _verdict(
+        "w3",
+        "f3(t): reversible factors up to length 6 lie in the 22-word table, "
+        "their two-sided length-3 contexts never coexist outside {0,1,00}, no "
+        "instance of xyxYx with |X|<=8,|Y|<=2, every length-9 factor contains "
+        "11, and factors ending in 11 have unique left completions",
+        {"completion_len": completion_len, "completion_factor_bound": COMPLETION_FACTOR_BOUND},
+        failures(), {"tm_prefix": len(tau),
+                     "per_clause": {clause: len(t) for clause, (t, _, _) in windows.items()},
+                     "image_length": len(w), "clause_results": clauses})
 
 
 def vf_w3_contexts_repaired() -> VerificationReport:
@@ -644,8 +636,13 @@ def vf_image_locality(morphism: str, max_len: int = 30) -> VerificationReport:
         {"morphism": morphism, "max_len": max_len}, failures(), searched_bound)
 
 
-def vf_tm_prefix_covering(max_exp: int = 6, big_len: int = 7 * 256) -> VerificationReport:
-    """Factors of length 2**e + 1 all occur in their covering prefix, of length 7 * 2**e."""
+def vf_tm_prefix_covering(max_exp: int = 6) -> VerificationReport:
+    """Factors of length 2**e + 1 all occur in their covering prefix, of length 7 * 2**e.
+
+    The host whose factors are compared is the covering prefix of factors four
+    times as long as the longest claimed, 7 * 2**(max_exp + 2) letters.
+    """
+    big_len = covering_prefix_length((1 << (max_exp + 2)) + 1)
     big = thue_morse_prefix(big_len)
 
     def failures():
@@ -700,27 +697,19 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
 
 # --- registry ---------------------------------------------------------------------
 
-def _host_covers_claim(max_exp: int, big_len: int) -> None:
-    """A tm-prefix-covering host shorter than the covering prefix of factors
-    four times as long as the longest claimed ones cannot test the claim."""
-    if big_len < (least := covering_prefix_length((1 << (max_exp + 2)) + 1)):
-        raise ValueError(f"big_len must be at least 7 * 2^(max_exp + 2) = {least} "
-                         f"for max_exp={max_exp}, got {big_len}")
-
-
-# check id -> (check, range (least, greatest) of each integer parameter, then any
-# relation among its parameters).  A value outside its range would leave the check
-# nothing to search, or a search it does not define: run_checks rejects it, and calls
-# each relation, before any check runs.  What names the check, such as the morphism
-# of image-locality, is bound into the callable, so no parameter can make one id run
-# another check; so is an id's own default, which inspect.signature then reports.
+# check id -> (check, range (least, greatest) of each integer parameter).  A value
+# outside its range would leave the check nothing to search, or a search it does not
+# define or cannot afford: run_checks rejects it before any check runs.  What names the
+# check, such as the morphism of image-locality, is bound into the callable, so no
+# parameter can make one id run another check; so is an id's own default, which
+# inspect.signature then reports.
 CHECKS: dict[str, tuple] = {
     "square-limited": (vf_square_limited, {"n": (1, inf)}),
     "g-avoidance": (vf_g_avoidance, {"n": (4, inf)}),
     "square-limited-xyxyX": (vf_square_limited_xyxyX, {"n": (5, inf)}),
     "w1": (vf_w1, {}),
     "w2": (vf_w2, {}),
-    "w3": (vf_w3, {"completion_len": (2, inf), "completion_factor_bound": (1, inf)}),
+    "w3": (vf_w3, {"completion_len": (2, inf)}),
     "w3-contexts-repaired": (vf_w3_contexts_repaired, {}),
     "w4": (vf_w4, {}),
     "pigeonhole": (vf_pigeonhole, {"k": (1, 3)}),
@@ -733,31 +722,33 @@ CHECKS: dict[str, tuple] = {
     "image-locality-f2": (partial(vf_image_locality, "f2"), {"max_len": (1, inf)}),
     "image-locality-f3": (partial(vf_image_locality, "f3", max_len=9), {"max_len": (1, inf)}),
     "image-locality-f4": (partial(vf_image_locality, "f4", max_len=21), {"max_len": (1, inf)}),
-    "tm-prefix-covering": (vf_tm_prefix_covering, {"max_exp": (0, inf), "big_len": (1, inf)},
-                           _host_covers_claim),
+    "tm-prefix-covering": (vf_tm_prefix_covering, {"max_exp": (0, 12)}),
     "tm-desubstitution": (vf_tm_desubstitution, {"prefix_len": (1, inf)}),
 }
 
 
-def _typed(key: str, value: object, default: object) -> object:
-    """A string value for a parameter whose default is an int, as an int."""
-    if isinstance(value, str) and isinstance(default, int):
+def _integer(key: str, value: object) -> int:
+    """The value of an integer parameter: an int that is not a bool, or a
+    string (as the CLI passes) that ``int()`` reads."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
-            raise ValueError(f"parameter {key!r} expects an integer, got {value!r}") from None
-    return value
+            pass
+    raise ValueError(f"parameter {key!r} expects an integer, got {value!r}")
 
 
 def run_checks(only: str | None = None, params: dict | None = None) -> list[VerificationReport]:
     """Run one named check or the whole registry, in registry order.
 
     Each selected check receives just the parameters its signature accepts,
-    a string value (as the CLI passes) converted by ``int()`` where the
-    parameter's default is an int; a parameter that no selected check accepts,
-    a string there that ``int()`` rejects, a value outside the check's
-    declared range for it, or values that break a relation the check declares
-    among its parameters, is an error, raised before any check runs.
+    a string value for an integer parameter (as the CLI passes) converted by
+    ``int()``.  A parameter that no selected check accepts, a value for an
+    integer parameter that is neither an int (not a bool) nor a string
+    ``int()`` reads, or a value outside the check's declared range for it, is
+    an error, raised before any check runs.
     A report that passed with every integer count in its ``searched_bound``
     at zero searched nothing, and raises RuntimeError.
     This is the one place a check is timed: each report's ``elapsed`` is set
@@ -776,16 +767,14 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
             raise ValueError(f"{scope} parameter {key!r}")
     calls = {}
     for cid, names in accepted.items():
-        fn, ranges, *relations = CHECKS[cid]
-        kwargs = {k: _typed(k, v, names[k].default) for k, v in params.items() if k in names}
+        fn, ranges = CHECKS[cid]
+        kwargs = {k: _integer(k, v) if k in ranges else v for k, v in params.items() if k in names}
         values = {k: q.default for k, q in names.items()} | kwargs
         for key, (least, greatest) in ranges.items():
             if not least <= values[key] <= greatest:
                 bound = f">= {least}" if values[key] < least else f"<= {greatest}"
                 raise ValueError(f"check {cid!r} needs parameter {key!r} {bound}, "
                                  f"got {values[key]!r}")
-        for relation in relations:
-            relation(**values)
         calls[cid] = fn, kwargs
     reports = []
     for cid, (fn, kwargs) in calls.items():

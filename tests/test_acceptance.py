@@ -160,7 +160,8 @@ def test_criterion_09_arithmetic_anchors():
     t0 = time.perf_counter()
     ok = bound_factor_length(7, 11) < 7
     ok &= bound_factor_length(30, 11) == 10
-    ok &= vf_tm_prefix_covering(max_exp=6, big_len=7 * 256).passed
+    covering = vf_tm_prefix_covering(max_exp=6)
+    ok &= covering.passed and covering.searched_bound["host_prefix"] == 1792
     ok &= vf_tm_desubstitution(prefix_len=512).passed
     _report("criterion 9: factor-length bounds, prefix covering, and "
             "desubstitution of odd factors", ok, time.perf_counter() - t0, 60)

@@ -169,11 +169,17 @@ def test_verify_params_take_their_parameter_type(capsys):
     assert "position 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("param", ["big_len=100", "max_exp=7"])
-def test_verify_rejects_a_host_prefix_too_short_for_the_claim(param, capsys):
-    # a Thue-Morse host shorter than 7 * 2^(max_exp + 2) cannot test the claim
-    assert run(["verify", "--only", "tm-prefix-covering", "--params", param]) == 2
-    assert "big_len must be at least" in capsys.readouterr().err
+def test_verify_tm_prefix_covering_derives_its_host(capsys):
+    # the Thue-Morse host is 7 * 2^(max_exp + 2) letters, derived, not a parameter
+    assert run(["--json", "verify", "--only", "tm-prefix-covering", "--params", "max_exp=7"]) == 0
+    [report] = json.loads(_out(capsys))
+    assert report["searched_bound"] == {"host_prefix": 3584}
+
+
+@pytest.mark.parametrize("param", ["big_len=100", "completion_factor_bound=64"])
+def test_verify_derived_values_are_not_parameters(param, capsys):
+    assert run(["verify", "--params", param]) == 2
+    assert f"no check accepts parameter '{param.split('=')[0]}'" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_one(capsys):

@@ -15,7 +15,9 @@ from revpat.matcher import apply_morphism, find_instance
 from revpat.patterns import canonical, factors
 from revpat.sequences import (
     ALLOWED_SQUARES,
+    COMPLETION_FACTOR_BOUND,
     F2,
+    F3,
     F4,
     H,
     apply_binary_morphism,
@@ -125,9 +127,15 @@ def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
 @pytest.mark.parametrize("params, message", [
     ({"k": 4}, "'k' <= 3, got 4"),
     ({"max_len": 6}, "'max_len' <= 5, got 6"),
-    ({"max_exp": 7}, "big_len must be at least .* = 3584 for max_exp=7, got 1792"),
-    ({"big_len": 100}, "big_len must be at least .* got 100"),
-], ids=["k=4", "max_len=6", "max_exp=7", "big_len=100"])
+    ({"max_exp": 13}, "'max_exp' <= 12, got 13"),
+    ({"big_len": 100}, "no check accepts parameter 'big_len'"),
+    ({"completion_factor_bound": 64}, "no check accepts parameter 'completion_factor_bound'"),
+    # an integer parameter takes an int that is not a bool, or a string int() reads
+    ({"witness_len": 20.5}, "'witness_len' expects an integer, got 20.5"),
+    ({"k": True}, "'k' expects an integer, got True"),
+    ({"max_len": 3.0}, "'max_len' expects an integer, got 3.0"),
+], ids=["k=4", "max_len=6", "max_exp=13", "big_len=100", "completion_factor_bound=64",
+        "witness_len=20.5", "k=True", "max_len=3.0"])
 def test_run_checks_rejects_a_bad_value_before_any_check_runs(params, message, monkeypatch):
     called = []
 
@@ -138,23 +146,41 @@ def test_run_checks_rejects_a_bad_value_before_any_check_runs(params, message, m
             return fn(**kwargs)
         return check
 
-    monkeypatch.setattr(verify, "CHECKS", {cid: (spy(cid, fn), *rest)
-                                           for cid, (fn, *rest) in CHECKS.items()})
+    monkeypatch.setattr(verify, "CHECKS", {cid: (spy(cid, fn), ranges)
+                                           for cid, (fn, ranges) in CHECKS.items()})
     with pytest.raises(ValueError, match=message):
         run_checks(params=params)
     assert called == []
 
 
 def test_every_integer_parameter_has_a_lower_bound():
-    for cid, (fn, ranges, *relations) in CHECKS.items():
+    for cid, entry in CHECKS.items():
+        assert type(entry) is tuple and len(entry) == 2, cid  # (check, ranges)
+        fn, ranges = entry
         params = inspect.signature(fn).parameters
         assert set(ranges) == {k for k, q in params.items() if isinstance(q.default, int)}, cid
         for key, (minimum, maximum) in ranges.items():
             assert type(minimum) is int, (cid, key)
             assert params[key].default >= minimum, (cid, key)
             assert params[key].default <= maximum, (cid, key)
-        for relation in relations:
-            relation(**{k: q.default for k, q in params.items()})
+
+
+def test_every_report_in_verify_is_built_by_verdict():
+    def report_calls(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "VerificationReport"]
+
+    tree = ast.parse(Path(verify.__file__).read_text())
+    [verdict] = [fn for fn in tree.body if getattr(fn, "name", None) == "_verdict"]
+    assert report_calls(tree) == report_calls(verdict) != []
+
+
+def test_tm_prefix_covering_derives_its_host_from_max_exp():
+    for max_exp, host in ((0, 28), (6, 1792), (7, 3584)):
+        report = run_checks(only="tm-prefix-covering", params={"max_exp": max_exp})[0]
+        assert report.passed, report.counterexample
+        assert report.parameters == {"max_exp": max_exp, "big_len": host}
+        assert report.searched_bound == {"host_prefix": host}
 
 
 def test_reports_are_deterministic_and_json_clean():
@@ -277,6 +303,19 @@ def test_w3_pins_the_degenerate_context_clause():
         assert chi + "000" in w
     for chi in sets["right"]:
         assert "000" + chi in w
+
+
+def test_completion_factor_bound_carries_no_weight():
+    # w3 reports the bound it searches left completions with, though it is no parameter
+    assert vf_w3(completion_len=4).parameters == {"completion_len": 4,
+                                                  "completion_factor_bound": 64}
+    # every factor of the covering window of w3's completion clause has the
+    # same left completions among images of factors no longer than itself
+    _, w, _ = _image_window(F3, 24)
+    us = [u for length in range(1, 25) for u in sorted(factor_set(w, length))]
+    assert len(us) == 761
+    for u in us:
+        assert left_completions(u, F3, COMPLETION_FACTOR_BOUND) == left_completions(u, F3, len(u)), u
 
 
 def _flipped_at(position, prefix_len):
@@ -445,7 +484,7 @@ FAILING_CLAUSES = [
     ("w3", _W3, {**_NO_CONTEXTS, "factor_set": _with_factor(9, "000000000")},
      {"clauses": ["length-9"], "details": {"length-9": ["000000000"]}}, "length-9"),
     ("w3", _W3, {**_NO_CONTEXTS, "left_completions":
-                 lambda u, m, bound: [] if u == "011" else left_completions(u, m, bound)},
+                 lambda u, m: [] if u == "011" else left_completions(u, m)},
      {"clauses": ["completions"], "details": {"completions": {"011": []}}}, "completions"),
     ("w3-contexts-repaired", {}, {"_context_sets": lambda w, y: ({"000"}, {"001"})},
      {"y": "01", "left": ["000"], "right": ["001"]}, "contexts"),
