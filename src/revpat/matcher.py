@@ -9,11 +9,16 @@ smallest |Y|.
 
 One slot kernel, ``_match_at``, finds the least instance that starts at a
 given position; the search runs it at each start in turn, and the prover in
-``engine`` runs it at the start of each reversed node word.  Each caller
-passes a floor: the length of a prefix of the word from that start which
-also occurs at a start already ruled out (an earlier start in a scan, which
-takes the longest such prefix; a later one in the prover's reversed word).
-An instance no longer than the floor would start there too, so the kernel
+``engine`` runs it at the start of each reversed node word.  When x recurs,
+its first recurrence (the key slot: the second lead slot, or else the
+first slot of the x-run after the first y-run) must hold the head of x that
+a given |X| fixes, so the kernel finds that head's first place f in the key
+slot's window: with no f it stops, and with f out of reach it jumps |X| to
+the least value whose window reaches f.  Each caller passes a floor: the
+length of a prefix of the word from that start which also occurs at a
+start already ruled out (an earlier start in a scan, which takes the
+longest such prefix; a later one in the prover's reversed word).  An
+instance no longer than the floor would start there too, so the kernel
 skips it, and a scan stops once the whole rest of the word occurs earlier.
 Once X is known, the x-run after the first y-run is a fixed string, and
 each place it occurs fixes |Y|; the y slot right after that run rejects
@@ -83,17 +88,21 @@ def apply_morphism(p: str, x: str | None = None, y: str | None = None) -> str:
 def _plan(p: str) -> tuple:
     """Compile p's x-led form for ``_match_at``.
 
-    ``lead`` counts the x slots before the first y slot and ``lead_rest``
-    encodes all of them but the first.  ``tail`` holds the other slots the
-    kernel compares, as (cx, cy, seg): the slot begins cx|X| + cy|Y| letters
-    after the start and holds ``"xXyY"[seg]``'s value.  It leaves out the
-    first y slot, which defines y (``y_fwd`` when that slot is y, not Y),
-    and the pinned x-run.  ``cut`` is set when x recurs, ``two_sided`` when
-    both x and X occur.  ``pin`` is set when an x-run follows the first
-    y-run: (the y-run's length, the x-run, ``extend``, ``mirror``), where
-    ``extend`` says the y slot after the x-run has the first y slot's
-    orientation and ``mirror`` that it has the opposite orientation to the
-    slot just before the x-run.
+    ``lead`` counts the x slots before the first y slot.  ``key`` is set
+    when x recurs: (ky, rev) for the slot where it first does, which begins
+    |X| + ky|Y| letters after the start (the second lead slot, ky = 0, or
+    else the first slot of the pinned x-run, ky = the first y-run's length)
+    and holds X's reversal when ``rev``.  The key check fixes the second
+    lead slot exactly, so ``lead_rest`` encodes only the lead slots after it.
+    ``tail`` holds the other slots the kernel compares, as (cx, cy, seg):
+    the slot begins cx|X| + cy|Y| letters after the start and holds
+    ``"xXyY"[seg]``'s value.  It leaves out the first y slot, which defines
+    y (``y_fwd`` when that slot is y, not Y), and the pinned x-run.
+    ``two_sided`` is set when both x and X occur.  ``pin`` is set when an
+    x-run follows the first y-run: (the y-run's length, the x-run,
+    ``extend``, ``mirror``), where ``extend`` says the y slot after the
+    x-run has the first y slot's orientation and ``mirror`` that it has the
+    opposite orientation to the slot just before the x-run.
     """
     p = x_led(parse_pattern(p))
     a, b = variable_counts(p)
@@ -110,11 +119,15 @@ def _plan(p: str) -> tuple:
             cx += 1
         else:
             cy += 1
-    pin = None
+    key = pin = None
+    if lead >= 2:
+        key = (0, p[1] == "X")
+    elif run_x:
+        key = (run_y, run_x[0] == "X")
     if run_x:
         after = after_y[len(run_x):len(run_x) + 1]  # the y slot after the run, if any
         pin = (run_y, _run(run_x), after == body[0], after not in ("", body[run_y - 1]))
-    return (a, b, lead, _run(p[1:lead]), tuple(tail), a >= 2, "x" in p and "X" in p,
+    return (a, b, lead, _run(p[2:lead]), tuple(tail), key, "x" in p and "X" in p,
             body[:1] == "y", pin)
 
 
@@ -122,13 +135,6 @@ def _run(syms: str):
     """A run of x slots: its length when every slot is forward, else the
     slots' orientation flags."""
     return len(syms) if "X" not in syms else tuple(sym == "x" for sym in syms)
-
-
-def _image(run, fwd: bytes, rev: bytes | None) -> bytes:
-    """The bytes a run of x slots holds when X = fwd (rev is its reversal)."""
-    if run.__class__ is int:
-        return fwd * run
-    return b"".join([fwd if f else rev for f in run])
 
 
 def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
@@ -139,47 +145,82 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
     Returns the (x, y) values of that instance, y None for x-only patterns,
     or None when no such instance within the bounds starts there.  Each
     candidate's slots are compared at their own offsets; five prunings
-    choose the candidates.  If x recurs and the length-lx head (or,
-    two-sided, its reversal) occurs nowhere after it, no instance has this
-    or any larger |X|.  Every (|X|, |Y|) with a|X| + b|Y| <= floor is
-    skipped, so |Y| starts at ``low``: the caller passes a floor only when
-    such an instance would also start at a place it has ruled out.  Once X
-    is known, the x-run after the first y-run is a fixed string, and each
-    place it occurs fixes |Y|.  Two checks reject such a place by the y
-    slot right after the run.  When that slot has the first y slot's
-    orientation, it begins with the first y slot's first ``low`` letters,
-    so those are searched for with the run.  When it has the opposite
-    orientation to the y slot before the run, its first letter is that
-    slot's last, so the letters on both sides of the run must agree.
+    choose the candidates.
+
+    1. The recurrence jump.  When x recurs, the key slot (see ``_plan``)
+       begins lx + ky*ly letters after the start, so at least lx + ky and
+       at most lx + ky*lim_y.  It begins with the length-lx head of x, or,
+       when it holds X, its last lx letters are that head's reversal.  Let
+       f be the first place at or after the least offset where the head
+       occurs in the key slot's orientation.  Every |X'| > lx puts the head
+       in its key slot no earlier: at the same offset in the slot, or
+       |X'| - lx letters later in a reversed slot.  So with no f, no
+       instance has this or any larger |X|.  With f beyond this |X|'s reach
+       (start + lx + ky*lim_y), |X| jumps to the least |X'| whose reach,
+       with lim_y held at this |X|'s value and the reversed shift added,
+       gets to f; lim_y only shrinks as |X| grows, so no |X| in between can
+       reach f.  The jumped-to |X| finds its own, longer head, which may
+       jump again.
+    2. The floor.  Every (|X|, |Y|) with a|X| + b|Y| <= floor is skipped,
+       so |Y| starts at ``low``: the caller passes a floor only when such
+       an instance would also start at a place it has ruled out.
+    3. The |Y| pin.  Once X is known, the x-run after the first y-run is a
+       fixed string, and each place it occurs fixes |Y|.  When the run
+       begins with the key slot, it occurs nowhere before f.
+    4. When the y slot right after the run has the first y slot's
+       orientation, it begins with the first y slot's first ``low``
+       letters, so those are searched for with the run.
+    5. When that slot has the opposite orientation to the y slot before the
+       run, its first letter is that slot's last, so the letters on both
+       sides of the run must agree.
     """
-    a, b, lead, lead_rest, tail, cut, two_sided, y_fwd, pin = plan
+    a, b, lead, lead_rest, tail, key, two_sided, y_fwd, pin = plan
     room = len(w) - start
     lim_x = (room - b) // a
     if max_x is not None and max_x < lim_x:
         lim_x = max_x
-    for lx in range(1 if b else floor // a + 1, lim_x + 1):
+    if key:
+        ky, rev = key
+    lim_y = f = 0
+    lx = 1 if b else floor // a + 1
+    while lx <= lim_x:
+        if b:
+            lim_y = (room - a * lx) // b
+            if max_y is not None and max_y < lim_y:
+                lim_y = max_y
         xf = w[start:start + lx]
         xr = xf[::-1] if two_sided else None
-        if cut and w.find(xf, start + lx) < 0 and (
-                xr is None or w.find(xr, start + lx) < 0):
-            return None
+        if key:
+            f = w.find(xr if rev else xf, start + lx + ky)
+            if f < 0:
+                return None  # the head has no place in any larger |X|'s window either
+            reach = start + lx + ky * lim_y
+            if f > reach:
+                lx -= (reach - f) // (1 + rev)
+                if lx > lim_x:
+                    return None
+                continue
         base = start + lead * lx
-        if lead_rest and w[start + lx:base] != _image(lead_rest, xf, xr):
+        if lead_rest and w[start + 2 * lx:base] != (
+                xf * lead_rest if lead_rest.__class__ is int
+                else b"".join([xf if fwd else xr for fwd in lead_rest])):
+            lx += 1
             continue
         if not b:
             return xf, None
-        lim_y = (room - a * lx) // b
-        if max_y is not None and max_y < lim_y:
-            lim_y = max_y
         ly = low = (floor - a * lx) // b + 1 if floor >= a * lx else 1
         if pin:
             run_y, run_x, extend, mirror = pin
-            t = _image(run_x, xf, xr)
+            t = (xf * run_x if run_x.__class__ is int
+                 else b"".join([xf if fwd else xr for fwd in run_x]))
             run_len = len(t)
             if extend:
                 t += w[base:base + low]
             end = base + run_y * lim_y + len(t)
-            q = base + run_y * low - 1
+            q = base + run_y * low
+            if f > q:
+                q = f
+            q -= 1
         while True:
             if pin:
                 q = w.find(t, q + 1, end)
@@ -198,6 +239,7 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
             else:
                 return xf, segs[2]
             ly += 1
+        lx += 1
     return None
 
 

@@ -141,7 +141,9 @@ def _y_after_pinned_run(p):
 
 def test_matcher_agrees_with_oracle_on_all_short_patterns():
     # the 30-40 letter words and the length-5 seeds reach the kernel's
-    # repeat cutoff, its |Y| pinning and its floor at many lengths; the
+    # recurrence jump at many lengths (a head with no place left, a jump
+    # past the last |X| and a jump that lands, with forward and reversed key
+    # slots), its |Y| pinning and its floor; the
     # seeds' y-led and Y-led orbit members are scanned renamed and re-read in
     # their own order, also under bounds, which cap the renamed form's |Y| by
     # p's |X|

@@ -1,0 +1,141 @@
+"""Mutation check for the slot kernel's pruning rules.
+
+    python3 tools/mutants.py
+
+Each row of ``MUTANTS`` names a file under ``src/``, an exact piece of its
+text, the text that replaces it, and why the result is wrong.  For each
+row the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+temporary directory, applies that one replacement, and runs
+
+    python3 -m pytest -x -q tests/test_matcher.py tests/test_engine.py
+
+there.  A mutant is *killed* when a test fails, or when the run outlasts
+``TIMEOUT_S`` (a broken jump can loop forever); it *survived* when every
+test passes.  The unmutated tree is run first and must pass.  A row whose
+old text no longer occurs exactly once is *stale*: the code it mutated has
+moved, and the row must be re-pointed to the equivalent text.
+
+Prints one line per row and a kill count; exits 1 when a mutant survived or
+a row is stale.  Needs pytest and hypothesis, as the test suite does.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TESTS = ["tests/test_matcher.py", "tests/test_engine.py"]
+TIMEOUT_S = 120
+
+M = "revpat/matcher.py"
+E = "revpat/engine.py"
+
+MUTANTS = [
+    # the recurrence jump
+    (M, "lx -= (reach - f) // (1 + rev)", "lx -= reach - f",
+     "jump without the reversed shift: a reversed key slot's head moves |X'| - |X| "
+     "further, so the forward step overshoots"),
+    (M, "if f > reach:", "if reach > f:",
+     "jump trigger reversed: jumps when the hit is reachable"),
+    (M, "if f > reach:", "if f >= reach:",
+     "jump trigger < -> <=: a hit exactly at the reach is skipped"),
+    (M, "f = w.find(xr if rev else xf, start + lx + ky)",
+     "f = w.find(xr if rev else xf, start + lx + ky + 1)",
+     "key searched from one past its least offset: a hit there is missed"),
+    (M, 'key = (0, p[1] == "X")', 'key = (0, p[1] == "x")',
+     "second lead slot keyed in the wrong orientation"),
+    (M, 'key = (run_y, run_x[0] == "X")', 'key = (run_y - 1, run_x[0] == "X")',
+     "pinned-run key one y slot short: its reach is too small"),
+    (M, "                q = f\n", "                q = f + 1\n",
+     "pin search starts past the key's hit, which may be the pin itself"),
+    (M, "w[start + 2 * lx:base]", "w[start + lx:base]",
+     "lead check reads from the second lead slot, which the key already fixed"),
+    # the repeat floor
+    (M, "found = _match_at(plan, data, start, max_x, max_y, floor)",
+     "found = _match_at(plan, data, start, max_x, max_y, floor + 1)",
+     "scan floor one too large"),
+    (E, "        if rword.find(rword[:floor], 1) < 0:\n            floor = 0\n", "",
+     "prover floor without its find: the parent's floor + 1 is kept even when "
+     "that prefix does not recur"),
+    (M, "if start + floor == n:", "if start + floor + 1 >= n:",
+     "scan stops a start too soon"),
+    # the |Y| pin and its two y-side checks
+    (M, "t += w[base:base + low]", "t += w[base:base + low + 1]",
+     "pin extended by low + 1 letters"),
+    (M, "mirror and w[q - 1] != w[q + run_len]", "mirror and w[q] != w[q + run_len]",
+     "mirror check reads w[q] for w[q - 1]"),
+    (M, "mirror and w[q - 1] != w[q + run_len]", "mirror and w[q - 1] != w[q + len(t)]",
+     "mirror check measured past the extended find string"),
+    # slot offsets
+    (M, 'tail.append((cx, cy, "xXyY".index(sym)))',
+     'tail.append((cx + (not tail), cy, "xXyY".index(sym)))',
+     "first tail slot's cx one too large"),
+    (M, "tuple(tail), key,",
+     "tuple(tail[:-1] + [(tail[-1][0], tail[-1][1] + 1, tail[-1][2])] if tail else tail), key,",
+     "last tail slot's cy one too large"),
+    # the renamed search's rising cap
+    (M, "_match_at(plan, data, start, max_y, cap)", "_match_at(plan, data, start, None, cap)",
+     "rising-cap rerun drops p's |Y| bound"),
+]
+
+
+def run_tests(tree: str) -> tuple[str, str]:
+    """(outcome, first failing test) of the kernel tests in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+    try:
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "killed", f"(timeout after {TIMEOUT_S} s)"
+    if done.returncode == 0:
+        return "survived", ""
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    return "killed", failed.group(1) if failed else f"(pytest exit {done.returncode})"
+
+
+def copy_tree(dest: str) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="revpat-mutants-") as tmp:
+        clean = os.path.join(tmp, "clean")
+        copy_tree(clean)
+        outcome, test = run_tests(clean)
+        if outcome != "survived":
+            print(f"the unmutated tree fails: {test}")
+            return 1
+        counts = {"killed": 0, "survived": 0, "stale": 0}
+        for i, (rel, old, new, reason) in enumerate(MUTANTS, 1):
+            tree = os.path.join(tmp, f"m{i}")
+            copy_tree(tree)
+            path = os.path.join(tree, "src", rel)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            found = text.count(old)
+            if found != 1:
+                outcome, test = "stale", f"old text occurs {found} times"
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text.replace(old, new))
+                outcome, test = run_tests(tree)
+            shutil.rmtree(tree)
+            counts[outcome] += 1
+            print(f"{i:2d} {outcome:8s} {rel}: {reason}" + (f" -- {test}" if test else ""),
+                  flush=True)
+    print(f"{counts['killed']} of {len(MUTANTS)} killed, {counts['survived']} survived, "
+          f"{counts['stale']} stale")
+    return 1 if counts["survived"] or counts["stale"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
