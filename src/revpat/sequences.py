@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 
 from .matcher import parse_word
 
@@ -233,24 +233,16 @@ def tm_factor_images(m: tuple[str, str], max_factor_len: int) -> frozenset[str]:
                       for i in range(len(tau) - length + 1)})
 
 
-# Letters at the end of an image that key its bucket in ``_images_by_tail``.
-_TAIL = 8
-
 # Longest Thue-Morse factor whose image ``left_completions`` searches by default.
 COMPLETION_FACTOR_BOUND = 64
 
 
 @lru_cache(maxsize=32)
-def _images_by_tail(m: tuple[str, str], max_factor_len: int) -> dict[str, dict[str, int]]:
+def _image_suffix_lengths(m: tuple[str, str], max_factor_len: int) -> dict[str, int]:
     """For each image v, the length of its longest proper suffix that is
-    itself an image (0 when none), bucketed by the last ``_TAIL`` letters of
-    v (all of v when shorter)."""
+    itself an image (0 when none)."""
     images = tm_factor_images(m, max_factor_len)
-    buckets: dict[str, dict[str, int]] = {}
-    for v in images:
-        suffix_len = next((n for n in range(len(v) - 1, 0, -1) if v[-n:] in images), 0)
-        buckets.setdefault(v[-_TAIL:], {})[v] = suffix_len
-    return buckets
+    return {v: next((n for n in range(len(v) - 1, 0, -1) if v[-n:] in images), 0) for v in images}
 
 
 def left_completions(u: str, m: tuple[str, str],
@@ -261,20 +253,19 @@ def left_completions(u: str, m: tuple[str, str],
     proper suffix of v that is itself an image of a Thue-Morse factor; since u
     and those suffixes are all suffixes of v, the latter just means no proper
     image-suffix of v has length >= |u|.  The search covers images of factors
-    up to max_factor_len letters.  Only images whose bucket key ends in u can
-    end in u, so a u of ``_TAIL`` letters or more reads one bucket and a
-    shorter u the few buckets whose key ends in it.
+    up to max_factor_len letters, but only factors up to |u| letters matter,
+    as m is non-erasing: m(s) has the proper image-suffix m(s[1:]) of at
+    least |s| - 1 letters, so it qualifies only when |s| <= |u|; and a proper
+    image-suffix m(s') with |s'| > |u| ends in m(s''), s'' the |u|-letter
+    suffix of s', which is itself at least |u| letters long.  So one scan of
+    the table built at min(max_factor_len, |u|) gives the same answer.
     """
     if not u:
         raise ValueError("left completions are defined for non-empty factors")
     if m[0] != "0":
         raise ValueError("left completions expect a morphism fixing 0")
-    buckets = _images_by_tail(m, max_factor_len)
-    if len(u) >= _TAIL:
-        candidates = buckets.get(u[-_TAIL:], {}).items()
-    else:
-        candidates = chain.from_iterable(b.items() for tail, b in buckets.items() if tail.endswith(u))
-    found = (v for v, suffix_len in candidates if suffix_len < len(u) and v.endswith(u))
+    suffix_lengths = _image_suffix_lengths(m, min(max_factor_len, len(u)))
+    found = (v for v, suffix_len in suffix_lengths.items() if suffix_len < len(u) and v.endswith(u))
     return sorted(found, key=lambda v: (len(v), v))
 
 

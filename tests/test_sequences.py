@@ -238,7 +238,7 @@ def test_left_completions_match_a_linear_scan(m):
         suffix_lengths = _image_suffix_lengths(m, bound)
         longest = max(suffix_lengths, key=len)
         edge_cases = [
-            "1", "01", "0010110",  # shorter than a bucket key
+            "1", "01", "0010110",  # short: the tables over factors of 1, 2 and 7 letters
             longest, min(suffix_lengths, key=len),  # a whole image
             "0" + longest,  # longer than every image
             "2", "12", "0101101112",  # not binary

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from revpat import engine, verify
+from revpat import engine, sequences, verify
 from revpat.engine import Avoidability, BacktrackReport
 from revpat.matcher import apply_morphism, find_instance
 from revpat.patterns import canonical, factors
@@ -25,6 +25,7 @@ from revpat.sequences import (
     factor_set,
     left_completions,
     thue_morse_prefix,
+    tm_factor_images,
 )
 from revpat.verify import (
     CHECKS,
@@ -305,17 +306,36 @@ def test_w3_pins_the_degenerate_context_clause():
         assert "000" + chi in w
 
 
-def test_completion_factor_bound_carries_no_weight():
+def test_completion_factor_bound_carries_no_weight(monkeypatch):
     # w3 reports the bound it searches left completions with, though it is no parameter
     assert vf_w3(completion_len=4).parameters == {"completion_len": 4,
                                                   "completion_factor_bound": 64}
     # every factor of the covering window of w3's completion clause has the
-    # same left completions among images of factors no longer than itself
+    # left completions that a linear scan of the whole table at the bound finds
+    images = tm_factor_images(F3, COMPLETION_FACTOR_BOUND)
+    suffix_lengths = {v: next((n for n in range(len(v) - 1, 0, -1) if v[-n:] in images), 0)
+                      for v in images}
+    # no u below is longer than 24 letters, so only these entries can complete one
+    scanned = {v: suffix_len for v, suffix_len in suffix_lengths.items() if suffix_len < 24}
     _, w, _ = _image_window(F3, 24)
     us = [u for length in range(1, 25) for u in sorted(factor_set(w, length))]
     assert len(us) == 761
     for u in us:
-        assert left_completions(u, F3, COMPLETION_FACTOR_BOUND) == left_completions(u, F3, len(u)), u
+        expected = sorted((v for v, suffix_len in scanned.items()
+                           if suffix_len < len(u) and v.endswith(u)), key=lambda v: (len(v), v))
+        assert left_completions(u, F3) == expected, u
+    # so w3 builds no image table over factors longer than completion_len
+    sequences._image_suffix_lengths.cache_clear()
+    built: list[int] = []
+
+    def spy(m, max_factor_len):
+        built.append(max_factor_len)
+        return tm_factor_images(m, max_factor_len)
+
+    monkeypatch.setattr(sequences, "tm_factor_images", spy)
+    report = vf_w3()
+    assert report.searched_bound["clause_results"]["completions"]
+    assert built and max(built) <= report.parameters["completion_len"]
 
 
 def _flipped_at(position, prefix_len):
