@@ -68,10 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_params(pairs: list[str]) -> dict:
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"parameter {pair!r} is not of the form key=value")
-    return dict(pair.split("=", 1) for pair in pairs)
+    params: dict = {}
+    for key, eq, value in (pair.partition("=") for pair in pairs):
+        if not eq:  # no "=": key is the whole pair
+            raise ValueError(f"parameter {key!r} is not of the form key=value")
+        if key in params:
+            raise ValueError(f"parameter {key!r} is given more than once")
+        params[key] = value
+    return params
 
 
 def _emit(payload: dict, as_json: bool, human: str) -> None:

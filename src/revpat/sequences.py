@@ -98,10 +98,7 @@ def covering_prefix_length(factor_len: int) -> int:
     2**e + 1 occur in the prefix of length 7 * 2**e; the returned value is the
     smallest such 7 * 2**e covering the requested factor length.
     """
-    e = 0
-    while (1 << e) + 1 < factor_len:
-        e += 1
-    return 7 << e
+    return 7 << max(factor_len - 2, 0).bit_length()
 
 
 # --- the square-limited word ----------------------------------------------------

@@ -16,7 +16,8 @@ Prefix lengths for the w1..w4 checks are derived at run time from
 ``bound_factor_length`` and the Thue-Morse covering arithmetic rather than
 hardcoded; where a specific derived value is load-bearing (56, 112) a
 different value fails the report with a counterexample naming what was
-derived.
+derived.  The covering arithmetic and ``tm-desubstitution`` rest on one clause,
+``_fixed_point_break``: t[:n] is h(t[:ceil(n/2)]) cut to n letters.
 """
 
 from __future__ import annotations
@@ -636,21 +637,36 @@ def vf_image_locality(morphism: str, max_len: int = 30) -> VerificationReport:
         {"morphism": morphism, "max_len": max_len}, failures(), searched_bound)
 
 
+def _fixed_point_break(n: int) -> int | None:
+    """First position where t[:n] and h(t[:ceil(n/2)]) differ, or None; an image shorter
+    than the host differs where it ends.  None gives h(t[:m]) = t[:2m] for m <= n / 2."""
+    host = thue_morse_prefix(n)
+    image = apply_binary_morphism(H, thue_morse_prefix((n + 1) // 2))[:n]
+    return next((i for i, (a, b) in enumerate(zip(host, image)) if a != b),
+                None if host == image else min(len(host), len(image)))
+
+
 def vf_tm_prefix_covering(max_exp: int = 6) -> VerificationReport:
     """Factors of length 2**e + 1 all occur in their covering prefix, of length 7 * 2**e.
 
-    The host whose factors are compared is the covering prefix of factors four
-    times as long as the longest claimed, 7 * 2**(max_exp + 2) letters.
+    By induction on e.  Base: 00, 01, 10 and 11 occur in t[:7].  Step: a factor of
+    length 2**(e+1) + 1 at i, of either parity, lies in h(v) for the 2**e + 1 letters
+    v of t from i // 2; v occurs in t[:7 * 2**e], so h(v) occurs in h(t[:7 * 2**e]) =
+    t[:7 * 2**(e+1)], the next covering prefix when the covering lengths double.  The
+    host, 7 * 2**(max_exp + 2) letters, settles h(t[:m]) = t[:2m] for every step.
     """
     big_len = covering_prefix_length((1 << (max_exp + 2)) + 1)
-    big = thue_morse_prefix(big_len)
 
     def failures():
-        for e in range(max_exp + 1):
-            flen = (1 << e) + 1
-            window = thue_morse_prefix(covering_prefix_length(flen))
-            if stray := factor_set(big, flen) - factor_set(window, flen):
-                yield {"exp": e, "factor": sorted(stray)[0]}
+        base = thue_morse_prefix(covering_prefix_length(2))
+        if missing := [u for u in ("00", "01", "10", "11") if u not in base]:
+            yield {"exp": 0, "factor": missing[0]}
+        for e in range(max_exp):
+            pair = [covering_prefix_length((1 << k) + 1) for k in (e, e + 1)]
+            if pair[1] != 2 * pair[0]:
+                yield {"exp": e + 1, "covering": pair}
+        if (at := _fixed_point_break(big_len)) is not None:
+            yield {"position": at}
 
     return _verdict(
         "tm-prefix-covering",
@@ -662,37 +678,18 @@ def vf_tm_prefix_covering(max_exp: int = 6) -> VerificationReport:
 def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
     """Odd-length factors come from images of half-length factors under h.
 
-    A length whose image contains the whole host holds for every factor of
-    the host at once and is counted in ``lengths_by_containment``; only the
-    others enumerate their factors, counted in ``lengths_enumerated``.
+    A factor of length 2k - 1 at i, of either parity, lies in h(t[i // 2:i // 2 + k]),
+    inside h(t[:ceil(prefix_len / 2)]) when the factor ends inside the host.
     """
-    host = thue_morse_prefix(prefix_len)
-    searched_bound = {"host_prefix": prefix_len, "lengths_by_containment": 0,
-                      "lengths_enumerated": 0}
-
     def failures():
-        cover = None
-        for length in range(1, prefix_len + 1, 2):
-            half = (length + 1) // 2
-            # h doubles every letter, so the words h(v) less one letter at either
-            # end, over the factors v of tau of half letters, are exactly the
-            # factors of h(tau) of this odd length
-            n = covering_prefix_length(half)
-            if n != cover:  # n grows with half: one image per covering length
-                cover, image = n, apply_binary_morphism(H, thue_morse_prefix(n))
-                holds_host = host in image
-            if holds_host:
-                searched_bound["lengths_by_containment"] += 1
-                continue
-            searched_bound["lengths_enumerated"] += 1
-            if stray := {u for u in factor_set(host, length) if u not in image}:
-                yield {"length": length, "factor": sorted(stray)[0]}
+        if (at := _fixed_point_break(prefix_len)) is not None:
+            yield {"position": at}
 
     return _verdict(
         "tm-desubstitution",
         f"every odd-length factor of the length-{prefix_len} Thue-Morse prefix "
         "is a factor of h(v) for a factor v of half its rounded-up length",
-        {"prefix_len": prefix_len}, failures(), searched_bound)
+        {"prefix_len": prefix_len}, failures(), {"host_prefix": prefix_len})
 
 
 # --- registry ---------------------------------------------------------------------

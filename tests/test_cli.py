@@ -138,6 +138,14 @@ def test_verify_rejects_a_parameter_no_check_accepts(capsys, monkeypatch):
     assert json.loads(_out(capsys))[0]["parameters"]["k"] == 3
 
 
+def test_verify_rejects_a_repeated_parameter(capsys):
+    # the last value would otherwise win without a word: k=1 k=2 ran k=2
+    assert run(["verify", "--only", "pigeonhole", "--params", "k=1", "k=2"]) == 2
+    assert "parameter 'k' is given more than once" in capsys.readouterr().err
+    assert run(["--json", "verify", "--only", "pigeonhole", "--params", "k=1", "k=1"]) == 2
+    assert "'k'" in json.loads(_out(capsys))["error"]
+
+
 def test_verify_morphism_is_not_a_parameter(capsys):
     # the morphism names an image-locality check; a parameter cannot swap it
     assert run(["verify", "--params", "morphism=f2"]) == 2

@@ -378,8 +378,37 @@ def test_tm_factor_images_match_the_per_factor_images():
             assert tm_factor_images(m, max_len) == expected
 
 
+def test_odd_factors_parse_into_h_blocks():
+    # the parsing lemma behind tm-desubstitution: the factor of length 2k - 1 at
+    # i is h(v), for the k letters v of t from i // 2, less its first letter
+    # when i is odd, else less its last
+    t = thue_morse_prefix(512)
+    for k in range(1, 257):
+        for i in range(512 - 2 * k + 2):
+            image = apply_binary_morphism(H, t[i // 2:i // 2 + k])
+            assert t[i:i + 2 * k - 1] == image[i % 2:][:2 * k - 1], (i, k)
+
+
+@pytest.mark.parametrize("e", range(7))
+def test_covering_step_parses_into_h_blocks(e):
+    # the step of tm-prefix-covering's induction, on every factor u of length
+    # 2^(e+1) + 1 in a host four times the covering prefix of u's length: u lies
+    # in h(v) for the 2^e + 1 letters v from i // 2, v lies in the covering prefix
+    # of its length, and h of that prefix is the covering prefix of u's length
+    short, long = (covering_prefix_length((1 << k) + 1) for k in (e, e + 1))
+    assert long == 2 * short
+    assert apply_binary_morphism(H, thue_morse_prefix(short)) == thue_morse_prefix(long)
+    t = thue_morse_prefix(4 * long)
+    u_len = (1 << (e + 1)) + 1
+    for i in range(len(t) - u_len + 1):
+        v = t[i // 2:i // 2 + (1 << e) + 1]
+        assert t[i:i + u_len] in apply_binary_morphism(H, v), (e, i)
+        assert v in t[:short], (e, i)
+
+
 def test_trimmed_h_images_are_the_odd_factors_of_h_tau():
-    # the identity vf_tm_desubstitution rests on
+    # the converse of the parsing lemma: each h-image of a factor of half
+    # letters, less one letter at either end, is an odd-length factor of h(tau)
     for half in range(1, 65):
         tau = thue_morse_prefix(covering_prefix_length(half))
         trimmed = set()

@@ -351,9 +351,7 @@ def test_tm_desubstitution_negative_control(monkeypatch):
     monkeypatch.setattr(verify, "thue_morse_prefix", corrupted)
     report = vf_tm_desubstitution()
     assert not report.passed
-    assert set(report.counterexample) == {"length", "factor"}
-    factor = report.counterexample["factor"]
-    assert factor in corrupted(512) and factor not in thue_morse_prefix(4096)
+    assert report.counterexample == {"position": 300}
 
 
 def _desubstitution_by_enumeration(host):
@@ -374,19 +372,41 @@ def test_tm_desubstitution_matches_full_enumeration(prefix_len, flipped, monkeyp
     report = vf_tm_desubstitution(prefix_len)
     expected = _desubstitution_by_enumeration(verify.thue_morse_prefix(prefix_len))
     assert (expected is None) is (flipped is None)  # every flipped host fails
-    assert report.passed is (expected is None)
-    assert report.counterexample == expected
-    # every odd length up to the failing one (or to the end) is counted once
-    last = expected["length"] if expected else prefix_len
-    counts = report.searched_bound
-    assert counts["lengths_by_containment"] + counts["lengths_enumerated"] == (last + 1) // 2
+    # the check fails exactly where the host leaves the fixed point
+    assert report.passed is (flipped is None)
+    assert report.counterexample == (None if flipped is None else {"position": flipped})
+    assert report.searched_bound == {"host_prefix": prefix_len}
 
 
-def test_tm_desubstitution_settles_long_lengths_by_containment():
-    # h(tau) of the covering prefix for halves 34..65 (448 letters) already
-    # holds the 512-letter host, so every length from 67 on is settled by it
-    assert vf_tm_desubstitution(512).searched_bound == {
-        "host_prefix": 512, "lengths_by_containment": 223, "lengths_enumerated": 33}
+def test_tm_desubstitution_fails_a_complement_host(monkeypatch):
+    # t is closed under complement, so every factor of the complemented host is
+    # a Thue-Morse factor and enumerating its factors finds nothing wrong; the
+    # host still is not t, and the fixed-point clause says so at its first letter
+    def complemented(n):
+        t = thue_morse_prefix(n)
+        return t.translate(str.maketrans("01", "10")) if n == 512 else t
+
+    assert _desubstitution_by_enumeration(complemented(512)) is None
+    monkeypatch.setattr(verify, "thue_morse_prefix", complemented)
+    report = vf_tm_desubstitution(512)
+    assert not report.passed
+    assert report.counterexample == {"position": 0}
+
+
+def test_fixed_point_break_reads_a_short_image_as_a_break(monkeypatch):
+    assert [verify._fixed_point_break(n) for n in (1, 2, 7, 1792)] == [None] * 4
+    # a zip over host and image alone would stop at the shorter and see no break
+    monkeypatch.setattr(verify, "apply_binary_morphism",
+                        lambda m, w: apply_binary_morphism(m, w)[:-1])
+    assert [verify._fixed_point_break(n) for n in (2, 8, 512)] == [1, 7, 511]
+
+
+def test_sampled_caps_keep_their_defaults():
+    # neither cap is derived yet, and a smaller one still passes: only these
+    # parameters say which |X| and |Y| the bounded searches reached
+    expected = {"n": 400, "lookahead": 100, "max_x": 15, "max_y": 15}
+    assert verify.vf_g_avoidance().parameters == expected
+    assert verify.vf_square_limited_xyxyX().parameters == expected
 
 
 def test_w3_repaired_contexts_pass():
@@ -562,8 +582,15 @@ FAILING_CLAUSES = [
     ("tm-prefix-covering", {}, {"covering_prefix_length":
                                 lambda factor_len: covering_prefix_length(factor_len) // 7 * 6},
      {"exp": 0, "factor": "00"}, "covering"),
+    # covering lengths 14, 21, ...: the base holds, the first step does not double
+    ("tm-prefix-covering", {}, {"covering_prefix_length":
+                                lambda factor_len: covering_prefix_length(factor_len) + 7},
+     {"exp": 1, "covering": [14, 21]}, "step"),
+    ("tm-prefix-covering", {}, {"thue_morse_prefix": _flipped_at(1000, 1792)},
+     {"position": 1000}, "identity"),
+    # an empty image is shorter than the host: the fixed point breaks at once
     ("tm-desubstitution", {"prefix_len": 64}, {"apply_binary_morphism": lambda m, w: ""},
-     {"length": 1, "factor": "0"}, "image"),
+     {"position": 0}, "image"),
 ]
 
 
@@ -597,8 +624,7 @@ FAILING_COUNTS = {
     "image-locality-f1:factor": {"image_prefix": 28, "factors_checked": 1},
     "classifier-oracle:refuted-witness": {"patterns_checked": 5, "classes_searched": 2,
                                           "prove_nodes": 91, "witness_factors": {"xx": "xx"}},
-    "tm-desubstitution:image": {"host_prefix": 64, "lengths_by_containment": 0,
-                                "lengths_enumerated": 1},
+    "tm-desubstitution:image": {"host_prefix": 64},
 }
 
 

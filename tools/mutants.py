@@ -1,5 +1,5 @@
-"""Mutation check for the slot kernel's pruning rules and the bound on the
-left-completion search.
+"""Mutation check for the slot kernel's pruning rules, the bound on the
+left-completion search, and the registry's Thue-Morse clauses and sampled caps.
 
     python3 tools/mutants.py
 
@@ -9,18 +9,19 @@ row the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
 temporary directory, applies that one replacement, and runs
 
     python3 -m pytest -x -q tests/test_matcher.py tests/test_engine.py \
-        tests/test_sequences.py
+        tests/test_sequences.py tests/test_verify.py
 
 there.  A mutant is *killed* when a test fails, or when the run outlasts
-``TIMEOUT_S`` (a broken jump can loop forever); it *survived* when every
-test passes.  The unmutated tree is run first and must pass.  A row whose
-old text no longer occurs exactly once is *stale*: the code it mutated has
-moved, and the row must be re-pointed to the equivalent text.
+``TIMEOUT_FACTOR`` times the unmutated run (a broken jump can loop forever);
+it *survived* when every test passes.  The unmutated tree is run first, timed,
+and must pass.  A row whose old text no longer occurs exactly once is
+*stale*: the code it mutated has moved, and the row must be re-pointed to
+the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-18 rows took 3 minutes on a 2-core x86-64 machine with Python 3.11, most of
-it the row whose broken jump runs into ``TIMEOUT_S``.
+24 rows took 3.4 minutes on a 2-core x86-64 machine with Python 3.11; the
+unmutated run took 16 s, so row 3, whose broken jump loops, stops at 47 s.
 """
 
 from __future__ import annotations
@@ -31,14 +32,17 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TESTS = ["tests/test_matcher.py", "tests/test_engine.py", "tests/test_sequences.py"]
-TIMEOUT_S = 120
+TESTS = ["tests/test_matcher.py", "tests/test_engine.py", "tests/test_sequences.py",
+         "tests/test_verify.py"]
+TIMEOUT_FACTOR = 3
 
 M = "revpat/matcher.py"
 E = "revpat/engine.py"
 S = "revpat/sequences.py"
+V = "revpat/verify.py"
 
 MUTANTS = [
     # the recurrence jump
@@ -90,18 +94,33 @@ MUTANTS = [
     (S, "min(max_factor_len, len(u))", "min(max_factor_len, len(u) - 1) or 1",
      "completion table built over factors one letter shorter than u: the images "
      "of |u|-letter factors are missed"),
+    # the Thue-Morse fixed-point clause and the induction built on it
+    (V, "thue_morse_prefix((n + 1) // 2)", "thue_morse_prefix(n // 2)",
+     "fixed point read from h(t[:floor(n/2)]): an odd host is one letter longer"),
+    (V, "None if host == image else min(len(host), len(image))", "None",
+     "fixed point compared by zip alone: an image shorter than the host passes"),
+    (V, "if pair[1] != 2 * pair[0]:", "if pair[1] > 2 * pair[0]:",
+     "covering step accepts covering lengths that grow by less than double"),
+    (V, 'for u in ("00", "01", "10", "11")', 'for u in ("01", "10", "11")',
+     "covering base forgets 00"),
+    # the sampled caps, which no lemma derives yet
+    (V, "cap = min(len(g) // 4, SQUARE_LIMITED_CAP)", "cap = min(len(g) // 4, 3)",
+     "g-avoidance searches |X|, |Y| <= 3 only"),
+    (V, "cap = min(n // 5, SQUARE_LIMITED_CAP)", "cap = min(n // 5, 2)",
+     "square-limited-xyxyX searches |X|, |Y| <= 2 only"),
 ]
 
 
-def run_tests(tree: str) -> tuple[str, str]:
-    """(outcome, first failing test) of ``TESTS`` in ``tree``."""
+def run_tests(tree: str, timeout: float | None = None) -> tuple[str, str]:
+    """(outcome, first failing test) of ``TESTS`` in ``tree``, killed after
+    ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
     try:
         done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
-                              timeout=TIMEOUT_S)
+                              timeout=timeout)
     except subprocess.TimeoutExpired:
-        return "killed", f"(timeout after {TIMEOUT_S} s)"
+        return "killed", f"(timeout after {timeout:.0f} s)"
     if done.returncode == 0:
         return "survived", ""
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
@@ -119,10 +138,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="revpat-mutants-") as tmp:
         clean = os.path.join(tmp, "clean")
         copy_tree(clean)
+        started = time.perf_counter()
         outcome, test = run_tests(clean)
         if outcome != "survived":
             print(f"the unmutated tree fails: {test}")
             return 1
+        timeout = TIMEOUT_FACTOR * (time.perf_counter() - started)
         counts = {"killed": 0, "survived": 0, "stale": 0}
         for i, (rel, old, new, reason) in enumerate(MUTANTS, 1):
             tree = os.path.join(tmp, f"m{i}")
@@ -136,7 +157,7 @@ def main() -> int:
             else:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(text.replace(old, new))
-                outcome, test = run_tests(tree)
+                outcome, test = run_tests(tree, timeout)
             shutil.rmtree(tree)
             counts[outcome] += 1
             print(f"{i:2d} {outcome:8s} {rel}: {reason}" + (f" -- {test}" if test else ""),
