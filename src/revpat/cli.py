@@ -153,22 +153,25 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
         report = engine.prove_k_unavoidable(p, args.alphabet, args.target_length,
                                             args.max_nodes)
         payload = report.as_dict()
+        counts = f"{report.nodes_visited} nodes, {report.settled} settled by a dead suffix"
         if report.inconclusive:
             payload["outcome"] = "inconclusive"
             _emit(payload, as_json,
-                  f"inconclusive: node budget of {args.max_nodes} spent; longest word over "
-                  f"{args.alphabet} letters avoiding {p} so far has length "
+                  f"inconclusive: node budget of {args.max_nodes} spent ({counts}); longest "
+                  f"word over {args.alphabet} letters avoiding {p} so far has length "
                   f"{report.longest_word_length}")
             return 3
         if report.terminated:
             payload["outcome"] = "exhausted"
-            human = (f"exhausted at depth {report.longest_word_length}: longest word over "
-                     f"{args.alphabet} letters avoiding {p} is {report.longest_word or '(empty)'}")
+            human = (f"exhausted at depth {report.longest_word_length} ({counts}): longest word "
+                     f"over {args.alphabet} letters avoiding {p} is "
+                     f"{report.longest_word or '(empty)'}")
         else:
             if not matcher.avoids(report.longest_word, p):
                 raise RuntimeError(f"search returned {report.longest_word}, which contains {p}")
             payload["outcome"] = "witness"
-            human = f"found avoiding word of length {report.longest_word_length}: {report.longest_word}"
+            human = (f"found avoiding word of length {report.longest_word_length} ({counts}): "
+                     f"{report.longest_word}")
         _emit(payload, as_json, human)
         return 0
 

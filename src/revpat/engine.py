@@ -11,6 +11,9 @@ exhausts the tree of avoiding words over a k-letter alphabet, and
 no 2-avoidable factor.  The prover keeps each node word reversed and asks
 the matcher's slot kernel for an instance of the reversed pattern at its
 start, which is an instance of the pattern ending at the node's last letter.
+It remembers each dead subtree by the suffix that holds every instance that
+killed it, and settles a later node ending with that suffix without
+searching below it again.
 
 The pattern graph (an edge {reversed-mark(a), b} for every length-2 factor
 ab) decides whether the alternating word 0101... contains an instance: it
@@ -19,6 +22,7 @@ does exactly when the graph is 2-colorable.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
@@ -112,6 +116,8 @@ class BacktrackReport:
     some branch reached the limit and ``longest_word`` is an avoiding word of
     exactly that length, or ``inconclusive`` is set: the node budget ran out
     first, and ``longest_word`` is only the longest avoiding word seen so far.
+    ``settled`` counts the visited nodes that a stored dead suffix closed
+    without expanding them (see ``prove_k_unavoidable``).
     """
 
     pattern: str
@@ -122,6 +128,7 @@ class BacktrackReport:
     longest_word_length: int
     longest_word: str
     inconclusive: bool = False
+    settled: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -132,32 +139,43 @@ class BacktrackReport:
 # factories cover five shapes.  All four run the same kernel on a reversed
 # node word and its floor.
 
+def _end_length(plan: tuple, rword: bytes, floor: int) -> int:
+    """Length of the least instance of ``plan`` at the start of ``rword``
+    longer than ``floor``, or 0 when none starts there."""
+    found = _match_at(plan, rword, 0, None, None, floor)
+    if found is None:
+        return 0
+    x, y = found
+    return plan[0] * len(x) + (plan[1] * len(y) if y else 0)
+
+
 def _pure_end_check(plan: tuple):
     """The pattern uses only x and X slots."""
-    return lambda rword, floor: _match_at(plan, rword, 0, None, None, floor) is not None
+    return lambda rword, floor: _end_length(plan, rword, floor)
 
 
 def _gap_then_block_check(plan: tuple):
     """A single y slot followed by an x-only block."""
-    return lambda rword, floor: _match_at(plan, rword, 0, None, None, floor) is not None
+    return lambda rword, floor: _end_length(plan, rword, floor)
 
 
 def _block_gap_block_check(plan: tuple):
     """An x-only block, a single y slot, another x-only block."""
-    return lambda rword, floor: _match_at(plan, rword, 0, None, None, floor) is not None
+    return lambda rword, floor: _end_length(plan, rword, floor)
 
 
 def _general_end_check(plan: tuple):
     """Each variable occurs at least twice."""
-    return lambda rword, floor: _match_at(plan, rword, 0, None, None, floor) is not None
+    return lambda rword, floor: _end_length(plan, rword, floor)
 
 
 def _compile_end_checker(p: str):
-    """Build the does-an-instance-end-here predicate for p.
+    """Build the end check for p: the length of an instance ending here.
 
     Returns (per_node, check, anchored).  ``check`` takes a word reversed
-    and its floor, and runs the slot kernel at its start on ``anchored``: p
-    ends at n in w exactly when p reversed starts at 0 in w reversed.
+    and its floor, runs the slot kernel at its start on ``anchored`` and
+    returns the length of the instance it finds, 0 for none: p ends at n in
+    w exactly when p reversed starts at 0 in w reversed.
     ``anchored`` is p reversed, less its final y slot in a per-node check;
     ``matcher._plan`` compiles its x-led form.  The floor is the length of a
     prefix of the reversed word that recurs further on, where no instance of
@@ -166,7 +184,9 @@ def _compile_end_checker(p: str):
     A per-node predicate runs on a word and decides the fate of all its
     children at once (possible when the pattern ends with its single y slot:
     the gap absorbs any final letter, so only the x-block before it is
-    checked); otherwise the predicate runs on each candidate child.
+    checked); otherwise the predicate runs on each candidate child.  A
+    per-node length is that of the x-block's instance: the instance of p in
+    each child is one letter longer and starts at the same place.
     """
     a, b = variable_counts(p)
     if b > a:
@@ -196,6 +216,28 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
     word recurs after its first letter, else 0.
     With a ``max_nodes`` budget the search visits at most that many nodes;
     a search that would need more returns an ``inconclusive`` report.
+
+    Dead subtrees are remembered by their suffix.  The frame of each
+    expanded node u keeps ``reach``, the least start (in the forward word)
+    of an instance that killed a node below u, and ``height``, the length of
+    the longest avoider below u.  When u's subtree is exhausted, its dead
+    suffix s = u[reach:] is stored with the offset height - |u|.
+
+    Lemma: for every word e with |ue| > height, ue contains an instance of p
+    inside s·e.  So an avoiding word v that ends with s has no avoider v·e
+    longer than |v| + offset, and each such v·e contains an instance inside
+    its suffix s·e.  (Follow e down from u: the path leaves the expanded
+    nodes at a killed node, whose instance starts at ``reach`` or later; at
+    a child of a node that a per-node check killed, likewise; or at a node
+    v' settled by an earlier suffix s', whose own lemma applies, and which
+    counts in u's frame as a kill at |v'| - |s'| and an avoider of length
+    |v'| + offset'.)
+
+    A visited avoider whose reversed word starts with a stored suffix is
+    settled: counted, not expanded.  It is settled only when
+    |v| + offset <= len(longest) and < depth_limit, so its subtree could
+    neither lengthen ``longest`` nor reach the limit: the report is the one
+    the full search gives, but for ``nodes_visited`` and ``settled``.
     """
     nonempty_pattern(p)
     if not 1 <= k <= 4:
@@ -210,41 +252,78 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
     budget = -1 if max_nodes is None else max_nodes
 
     longest = ""
-    nodes = 0
+    nodes = settled = 0
     stack = [0]
     rwords = [b""]  # the path's node words, each reversed
     floors = [0]  # for each, the length of a prefix that recurs in it
+    reaches = [0]  # for each, the least start of an instance killing below it
+    heights = [0]  # for each, the length of the longest avoider below it
+    dead: dict[bytes, int] = {}  # the stored suffixes, reversed, and their offsets
+    lengths: list[int] = []  # their distinct lengths, ascending
 
     while stack:
         idx = stack[-1]
         if idx >= (1 if len(stack) == 1 else k):
             stack.pop()
-            rwords.pop()
+            rword = rwords.pop()
             floors.pop()
+            reach, height = reaches.pop(), heights.pop()
+            if stack:
+                n = len(rword)
+                key, offset = rword[:n - reach], height - n
+                if len(key) not in lengths:
+                    insort(lengths, len(key))
+                if dead.get(key, offset) >= offset:
+                    dead[key] = offset
+                reaches[-1] = min(reaches[-1], reach)
+                heights[-1] = max(heights[-1], height)
             continue
         if nodes == budget:
             return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest,
-                                   inconclusive=True)
+                                   True, settled)
         stack[-1] += 1
         nodes += 1
         rword = letters[idx] + rwords[-1]
         floor = floors[-1] + 1
         if rword.find(rword[:floor], 1) < 0:
             floor = 0
-        if not per_node and check(rword, floor):
-            continue
         n = len(rword)
+        if not per_node:
+            found = check(rword, floor)
+            if found:
+                reaches[-1] = min(reaches[-1], n - found)
+                continue
         if n > len(longest):
             longest = rword[::-1].decode()
         if n >= depth_limit:
-            return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest)
-        if per_node and check(rword, floor):
-            continue  # every child of rword contains p
+            return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest,
+                                   False, settled)
+        if per_node:
+            found = check(rword, floor)
+            if found:  # every child of rword contains p
+                reaches[-1] = min(reaches[-1], n - found)
+                heights[-1] = max(heights[-1], n)
+                continue
+        room = min(len(longest), depth_limit - 1) - n
+        offset = depth_limit
+        for cut in lengths:
+            if cut > n:
+                break
+            offset = dead.get(rword[:cut], depth_limit)
+            if offset <= room:
+                break
+        if offset <= room:  # rword[:cut] is a stored suffix whose bound fits
+            settled += 1
+            reaches[-1] = min(reaches[-1], n - cut)
+            heights[-1] = max(heights[-1], n + offset)
+            continue
         rwords.append(rword)
         floors.append(floor)
+        reaches.append(n)
+        heights.append(n)
         stack.append(0)
 
-    return BacktrackReport(p, k, depth_limit, True, nodes, len(longest), longest)
+    return BacktrackReport(p, k, depth_limit, True, nodes, len(longest), longest, False, settled)
 
 
 # --- the pattern graph and the alternating-word criterion ------------------------

@@ -85,6 +85,12 @@ def test_search_witness_and_exhaustion(capsys):
     assert payload["outcome"] == "exhausted"
     assert payload["longest_word_length"] == 4
     assert "unavoidable" not in json.dumps(payload)
+    # nodes closed by a stored dead suffix are reported in both forms
+    assert run(["search", "xyxY", "--alphabet", "2", "--target-length", "30"]) == 0
+    assert _out(capsys).startswith("exhausted at depth 13 (135 nodes, 23 settled by a dead suffix)")
+    assert run(["--json", "search", "xyxY", "--alphabet", "2", "--target-length", "30"]) == 0
+    payload = json.loads(_out(capsys))
+    assert (payload["nodes_visited"], payload["settled"]) == (135, 23)
 
 
 def test_search_with_a_spent_budget_is_inconclusive(capsys):

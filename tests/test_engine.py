@@ -158,15 +158,15 @@ def test_prover_matches_brute_force_enumeration():
 # each end-checker shape; node counts are the prover's machine-independent cost
 PINNED_NODE_COUNTS = {
     ("xxx", 2, 100): (False, 150),
-    ("xx", 3, 100): (False, 227),
+    ("xx", 3, 100): (False, 224),
     ("xxy", 2, 30): (True, 7),
     ("xXy", 3, 40): (False, 59),
     ("yxx", 2, 30): (True, 15),
-    ("xxyx", 3, 40): (False, 54998),
-    ("xyxx", 2, 100): (True, 91),
-    ("xyxyx", 2, 200): (False, 284),
-    ("xyxY", 2, 30): (True, 227),
-    ("xyXYx", 2, 200): (False, 295),
+    ("xxyx", 3, 40): (False, 8927),
+    ("xyxx", 2, 100): (True, 35),
+    ("xyxyx", 2, 200): (False, 274),
+    ("xyxY", 2, 30): (True, 135),
+    ("xyXYx", 2, 200): (False, 261),
 }
 
 
@@ -174,6 +174,27 @@ PINNED_NODE_COUNTS = {
 def test_prove_node_counts_are_pinned(case):
     r = prove_k_unavoidable(*case)
     assert (r.terminated, r.nodes_visited) == PINNED_NODE_COUNTS[case]
+
+
+# (pattern, k, depth) -> (terminated, longest_word_length, longest_word) as the
+# prover reported them before it stored dead suffixes: settling a node may only
+# lower the node count
+UNSETTLED_REPORTS = {
+    ("xXyXy", 2, 60): (False, 60, "01" * 13 + "0001000110001110000111100011100110"),
+    ("xXyxy", 2, 60): (False, 60, "01" * 14 + "00001000011100001111000111001101"),
+    ("xxyXy", 2, 200): (False, 200, "01" * 100),
+    ("xxyX", 3, 200): (False, 200, "01" + "012" * 62 + "000121211222"),
+    ("xxyx", 3, 80): (False, 80, "0102010201020120210120210120210121021201210121012102"
+                                 "1021021201201202020222111000"),
+    ("xyxY", 2, 30): (True, 13, "0001110001100"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSETTLED_REPORTS), ids="{0[0]}-{0[1]}-{0[2]}".format)
+def test_settling_changes_no_report_field_but_the_counts(case):
+    r = prove_k_unavoidable(*case)
+    assert (r.terminated, r.longest_word_length, r.longest_word) == UNSETTLED_REPORTS[case]
+    assert 0 < r.settled < r.nodes_visited
 
 
 def test_node_budget_makes_a_search_inconclusive():

@@ -422,7 +422,7 @@ def test_classical_seeds_check():
 
 # total prover nodes of the oracle sweep at max_len=4, avoider_len=80; node
 # counts do not depend on the machine
-ORACLE_NODES_4_80 = 2449
+ORACLE_NODES_4_80 = 1797
 
 
 def test_classifier_oracle_witnesses_come_from_factors():

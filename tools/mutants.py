@@ -1,5 +1,6 @@
 """Mutation check for the slot kernel's pruning rules, the bound on the
-left-completion search, and the registry's Thue-Morse clauses and sampled caps.
+left-completion search, the prover's dead-suffix table, and the registry's
+Thue-Morse clauses and sampled caps.
 
     python3 tools/mutants.py
 
@@ -20,8 +21,8 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-24 rows took 3.4 minutes on a 2-core x86-64 machine with Python 3.11; the
-unmutated run took 16 s, so row 3, whose broken jump loops, stops at 47 s.
+27 rows took 3.7 minutes on a 2-core x86-64 machine with Python 3.11; the
+unmutated run took 15 s, so row 3, whose broken jump loops, stops at 44 s.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ MUTANTS = [
     (M, "tuple(tail), key,",
      "tuple(tail[:-1] + [(tail[-1][0], tail[-1][1] + 1, tail[-1][2])] if tail else tail), key,",
      "last tail slot's cy one too large"),
+    # the prover's stored dead suffixes
+    (E, "room = min(len(longest), depth_limit - 1) - n", "room = depth_limit - 1 - n",
+     "settling without the len(longest) guard: a settled subtree may hold the word "
+     "the full search reports"),
+    (E, "key, offset = rword[:n - reach], height - n",
+     "key, offset = rword[:n - reach - 1], height - n",
+     "dead suffix stored one letter short: a killing instance may start before it"),
+    (E, "reaches[-1] = min(reaches[-1], reach)", "pass",
+     "a dead child's reach not folded into its parent's: the parent's suffix misses "
+     "instances that killed nodes deeper down"),
     # the renamed search's rising cap
     (M, "_match_at(plan, data, start, max_y, cap)", "_match_at(plan, data, start, None, cap)",
      "rising-cap rerun drops p's |Y| bound"),
