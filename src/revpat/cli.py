@@ -144,8 +144,10 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
 
     if args.command == "generate":
         word = sequences.sequence_prefix(args.sequence, args.length)
-        _emit({"sequence": args.sequence, "length": args.length,
-               "lookahead": sequences.DEFAULT_LOOKAHEAD, "word": word}, as_json, word)
+        payload = {"sequence": args.sequence, "length": args.length, "word": word}
+        if args.sequence in ("square-limited", "g-ternary"):  # the two built by lookahead
+            payload["lookahead"] = sequences.DEFAULT_LOOKAHEAD
+        _emit(payload, as_json, word)
         return 0
 
     if args.command == "search":

@@ -288,22 +288,19 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
         if rword.find(rword[:floor], 1) < 0:
             floor = 0
         n = len(rword)
-        if not per_node:
-            found = check(rword, floor)
-            if found:
-                reaches[-1] = min(reaches[-1], n - found)
-                continue
+        found = check(rword, floor)
+        if found and not per_node:
+            reaches[-1] = min(reaches[-1], n - found)
+            continue
         if n > len(longest):
             longest = rword[::-1].decode()
         if n >= depth_limit:
             return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest,
                                    False, settled)
-        if per_node:
-            found = check(rword, floor)
-            if found:  # every child of rword contains p
-                reaches[-1] = min(reaches[-1], n - found)
-                heights[-1] = max(heights[-1], n)
-                continue
+        if found:  # a per-node hit: every child of rword contains p
+            reaches[-1] = min(reaches[-1], n - found)
+            heights[-1] = max(heights[-1], n)
+            continue
         room = min(len(longest), depth_limit - 1) - n
         offset = depth_limit
         for cut in lengths:

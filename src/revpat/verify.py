@@ -485,44 +485,32 @@ def vf_alternating_theorem(max_len: int = 4) -> VerificationReport:
         {"max_len": max_len}, failures(), searched_bound)
 
 
-def _class_search(c: str, k: int, depth: int,
-                  searches: dict) -> tuple[BacktrackReport, str, dict | None]:
-    """Search for a word of ``depth`` letters over k avoiding the class c.
-
-    A word that avoids a factor of c avoids c.  So the canonical proper
-    factors of c are searched first, shortest first with ties broken by
-    ``pattern_key``, and the first tree that reaches ``depth`` supplies the
-    witness; c itself is searched only when every factor tree is exhausted,
-    so an exhaustion certificate for c is always a search on c.  Returns the
-    deciding report, the pattern it searched and a problem: None, or what
-    went wrong when the matcher refutes the witness for c or the search ran
-    out of budget.  ``searches`` memoises prover reports by (pattern, k).
-    """
-    proper = sorted({canonical(u) for u in factors(c) if len(u) < len(c)},
-                    key=lambda q: (len(q), pattern_key(q)))
-    for q in proper + [c]:
-        if (q, k) not in searches:
-            searches[q, k] = prove_k_unavoidable(q, k, depth)
-        report = searches[q, k]
-        if not report.terminated:
-            if report.inconclusive or not avoids(report.longest_word, c):
-                return report, q, {"alphabet": k, "searched": q, "witness": report.longest_word}
-            return report, q, None
-    return report, c, None
-
-
 def _class_verdict(c: str, avoider_len: int, unavoidable_depth: int, searches: dict,
                    witness_factors: dict) -> tuple[Avoidability, dict | None]:
     """The searched avoidability index of the class c, and a problem or None.
 
-    The ternary search runs only once the binary one is exhausted; the
-    pattern that supplied a witness is recorded in ``witness_factors``.
+    A word that avoids a factor of c avoids c.  So for k = 2 and then k = 3,
+    the canonical proper factors of c are searched first, shortest first with
+    ties broken by ``pattern_key``, then c itself; the first tree that reaches
+    ``avoider_len`` letters over k gives the index, and its pattern is
+    recorded in ``witness_factors``.  Every exhaustion certificate is thus a
+    search on c.  The problem is None, or the witness when the search ran out
+    of budget or the matcher refutes it against c, or the ternary depth when
+    an unavoidable class's tree reaches ``unavoidable_depth``.  ``searches``
+    memoises prover reports by (pattern, k).
     """
+    proper = sorted({canonical(u) for u in factors(c) if len(u) < len(c)},
+                    key=lambda q: (len(q), pattern_key(q)))
     for k, index in ((2, Avoidability.TWO), (3, Avoidability.THREE)):
-        report, source, problem = _class_search(c, k, avoider_len, searches)
-        if not report.terminated:
-            witness_factors[c] = source
-            return index, problem
+        for q in proper + [c]:
+            if (q, k) not in searches:
+                searches[q, k] = prove_k_unavoidable(q, k, avoider_len)
+            report = searches[q, k]
+            if not report.terminated:
+                witness_factors[c] = q
+                if report.inconclusive or not avoids(report.longest_word, c):
+                    return index, {"alphabet": k, "searched": q, "witness": report.longest_word}
+                return index, None
     if report.longest_word_length >= unavoidable_depth:
         return Avoidability.UNAVOIDABLE, {"ternary_longest": report.longest_word_length}
     return Avoidability.UNAVOIDABLE, None
@@ -532,15 +520,13 @@ def vf_classifier_oracle(max_len: int = 4, avoider_len: int = 200,
                          unavoidable_depth: int = 60) -> VerificationReport:
     """The closed-form classifier agrees with exhaustive search everywhere.
 
-    Searches run once per equivalence class (avoidability is class-invariant);
-    the classifier is still checked against every individual pattern.  A
-    witness comes from the first canonical proper factor of the class, or
-    else the class itself, whose tree reaches ``avoider_len`` letters, and
-    the matcher re-validates it against the class; the factor is reported in
-    ``witness_factors``.  Every exhaustion certificate, behind "index 3" and
-    "unavoidable", is a terminated search on the class itself.
-    ``prove_nodes`` counts the nodes of every search, factor searches
-    included, each distinct (pattern, alphabet) search once.
+    Avoidability is class-invariant, so ``_class_verdict`` searches each
+    equivalence class once, and ``classify`` is checked against every pattern
+    of the class.  A pattern fails when its class's search reports a problem
+    or a verdict other than the classifier's.  ``witness_factors`` names, per
+    class with a witness, the pattern whose tree supplied it; ``prove_nodes``
+    counts the nodes of each distinct (pattern, alphabet) search once, factor
+    searches included.
     """
     searches: dict[tuple[str, int], BacktrackReport] = {}
     verdicts: dict[str, tuple] = {}
@@ -744,7 +730,8 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
     a string value for an integer parameter (as the CLI passes) converted by
     ``int()``.  A parameter that no selected check accepts, a value for an
     integer parameter that is neither an int (not a bool) nor a string
-    ``int()`` reads, or a value outside the check's declared range for it, is
+    ``int()`` reads, a value outside the check's declared range for it, or a
+    parameter that several selected checks accept (it would set them all), is
     an error, raised before any check runs.
     A report that passed with every integer count in its ``searched_bound``
     at zero searched nothing, and raises RuntimeError.
@@ -773,6 +760,11 @@ def run_checks(only: str | None = None, params: dict | None = None) -> list[Veri
                 raise ValueError(f"check {cid!r} needs parameter {key!r} {bound}, "
                                  f"got {values[key]!r}")
         calls[cid] = fn, kwargs
+    for key in params:
+        sharing = [cid for cid, (_, kwargs) in calls.items() if key in kwargs]
+        if len(sharing) > 1:
+            raise ValueError(f"parameter {key!r} is accepted by several selected checks "
+                             f"({', '.join(sharing)}); select one of them")
     reports = []
     for cid, (fn, kwargs) in calls.items():
         started = time.perf_counter()

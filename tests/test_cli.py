@@ -53,6 +53,10 @@ def test_generate_has_no_lookahead_flag(capsys):
     assert run(["--json", "generate", "square-limited", "--length", "12"]) == 0
     assert json.loads(_out(capsys)) == {"sequence": "square-limited", "length": 12,
                                         "lookahead": 100, "word": "000101100011"}
+    # only the square-limited word and g, built from it, are generated with a lookahead
+    assert run(["--json", "generate", "thue-morse", "--length", "8"]) == 0
+    assert json.loads(_out(capsys)) == {"sequence": "thue-morse", "length": 8,
+                                        "word": "01101001"}
 
 
 def test_generate_reads_and_writes_no_files(tmp_path, capsys, monkeypatch):
@@ -181,6 +185,24 @@ def test_verify_params_take_their_parameter_type(capsys):
     assert "'a' at position 1" in capsys.readouterr().err
     assert run(["verify", "--only", "square-limited", "--params", "word=0\u00e90"]) == 2
     assert "position 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param, only, sharing", [
+    ("max_len=5", "image-locality-f1", "alternating, classifier-oracle, image-locality-f1, "
+                                       "image-locality-f2, image-locality-f3, image-locality-f4"),
+    ("n=400", "g-avoidance", "square-limited, g-avoidance, square-limited-xyxyX"),
+], ids=["max_len=5", "n=400"])
+def test_verify_rejects_a_parameter_several_checks_accept(param, only, sharing, capsys):
+    # without --only, max_len=5 would also cut image-locality-f1 from 1,230 factors to 43
+    key, _, value = param.partition("=")
+    assert run(["verify", "--params", param]) == 2
+    assert f"'{key}' is accepted by several selected checks ({sharing})" in capsys.readouterr().err
+    assert run(["--json", "verify", "--params", param]) == 2
+    assert sharing in json.loads(_out(capsys))["error"]
+    # one selected check takes the value
+    assert run(["--json", "verify", "--only", only, "--params", param]) == 0
+    [report] = json.loads(_out(capsys))
+    assert report["passed"] and report["parameters"][key] == int(value)
 
 
 def test_verify_tm_prefix_covering_derives_its_host(capsys):

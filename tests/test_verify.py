@@ -36,6 +36,7 @@ from revpat.verify import (
     internal_factors,
     mod3_step_violation,
     run_checks,
+    vf_alternating_theorem,
     vf_classifier_oracle,
     vf_pigeonhole,
     vf_square_limited,
@@ -135,8 +136,14 @@ def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
     ({"witness_len": 20.5}, "'witness_len' expects an integer, got 20.5"),
     ({"k": True}, "'k' expects an integer, got True"),
     ({"max_len": 3.0}, "'max_len' expects an integer, got 3.0"),
+    # a key several checks accept would set them all: max_len=5 cuts f1 from 1,230 factors to 43
+    ({"max_len": 5}, r"'max_len' is accepted by several selected checks \(alternating, "
+                     "classifier-oracle, image-locality-f1, image-locality-f2, "
+                     r"image-locality-f3, image-locality-f4\)"),
+    ({"n": 400}, r"'n' is accepted by several selected checks \(square-limited, g-avoidance, "
+                 r"square-limited-xyxyX\)"),
 ], ids=["k=4", "max_len=6", "max_exp=13", "big_len=100", "completion_factor_bound=64",
-        "witness_len=20.5", "k=True", "max_len=3.0"])
+        "witness_len=20.5", "k=True", "max_len=3.0", "max_len=5", "n=400"])
 def test_run_checks_rejects_a_bad_value_before_any_check_runs(params, message, monkeypatch):
     called = []
 
@@ -264,6 +271,15 @@ def test_quick_checks_pass():
     ]:
         report = run_checks(only=cid, params=params)[0]
         assert report.passed, (cid, report.counterexample)
+
+
+def test_alternating_criterion_holds_at_length_five():
+    # the registry default, 4, never brute-forces the five length-5 alternating seeds
+    report = vf_alternating_theorem(max_len=5)
+    assert report.passed, report.counterexample
+    assert report.searched_bound["patterns_checked"] == 1360
+    assert {p for p in engine.SEED_PARTITION["alternating"] if len(p) == 5} == {
+        "xxyxY", "xxyXy", "xxyXY", "xxyyX", "xyXXy"}
 
 
 def test_w2_image_length_anchor():

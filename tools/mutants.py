@@ -1,6 +1,6 @@
 """Mutation check for the slot kernel's pruning rules, the bound on the
-left-completion search, the prover's dead-suffix table, and the registry's
-Thue-Morse clauses and sampled caps.
+left-completion search, the prover's end check and dead-suffix table, the
+oracle's class verdict, and the registry's Thue-Morse clauses and sampled caps.
 
     python3 tools/mutants.py
 
@@ -21,8 +21,8 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-27 rows took 3.7 minutes on a 2-core x86-64 machine with Python 3.11; the
-unmutated run took 15 s, so row 3, whose broken jump loops, stops at 44 s.
+29 rows took 4.5 minutes on a 2-core x86-64 machine with Python 3.11; the
+unmutated run took 19 s, so row 3, whose broken jump loops, stops at 56 s.
 """
 
 from __future__ import annotations
@@ -98,6 +98,10 @@ MUTANTS = [
     (E, "reaches[-1] = min(reaches[-1], reach)", "pass",
      "a dead child's reach not folded into its parent's: the parent's suffix misses "
      "instances that killed nodes deeper down"),
+    # the prover's one end-check call per node
+    (E, "if found and not per_node:", "if found:",
+     "a per-node hit kills the node itself: a word all of whose children contain p "
+     "is never counted as an avoider"),
     # the renamed search's rising cap
     (M, "_match_at(plan, data, start, max_y, cap)", "_match_at(plan, data, start, None, cap)",
      "rising-cap rerun drops p's |Y| bound"),
@@ -105,6 +109,10 @@ MUTANTS = [
     (S, "min(max_factor_len, len(u))", "min(max_factor_len, len(u) - 1) or 1",
      "completion table built over factors one letter shorter than u: the images "
      "of |u|-letter factors are missed"),
+    # the oracle's class verdict
+    (V, "if report.inconclusive or not avoids(", "if not avoids(",
+     "a search that spent its budget supplies a witness when its longest word happens "
+     "to avoid the class"),
     # the Thue-Morse fixed-point clause and the induction built on it
     (V, "thue_morse_prefix((n + 1) // 2)", "thue_morse_prefix(n // 2)",
      "fixed point read from h(t[:floor(n/2)]): an odd host is one letter longer"),
