@@ -25,7 +25,13 @@ each place it occurs fixes |Y|; the y slot right after that run rejects
 most places before y is sliced.  When that slot repeats the first y slot,
 it begins with the first y slot's first letters (as many as the least |Y|
 left), which are searched for with the run; when it mirrors the y slot
-before the run, the letters on both sides of the run must agree.  Every
+before the run, the letters on both sides of the run must agree.  A
+pattern that opens with xy.xy or xY.xY has no key slot and no pin: its
+instances begin with a square of half |X| + |Y|, so the kernel reads the
+half-lengths of the squares at the start (``_square_halves``, the
+recurrence jump of xx) and takes |Y| off them, and stops at once where no
+square starts; by the three-squares lemma, O(log n) primitively rooted
+squares start at any one position.  Every
 scan runs on the pattern's x-led form (``x_led``), the only form
 ``_plan`` compiles: renaming keeps where instances start.  The witness is
 still p's own least (start, |X|, |Y|): when the renaming swapped two used
@@ -36,6 +42,7 @@ y assignment and no x assignment.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -102,7 +109,9 @@ def _plan(p: str) -> tuple:
     x-run follows the first y-run: (the y-run's length, the x-run,
     ``extend``, ``mirror``), where ``extend`` says the y slot after the
     x-run has the first y slot's orientation and ``mirror`` that it has the
-    opposite orientation to the slot just before the x-run.
+    opposite orientation to the slot just before the x-run.  ``square`` is
+    set, and ``key`` and ``pin`` are not, when p opens with xy.xy or
+    xY.xY: every instance then begins with a square of half |X| + |Y|.
     """
     p = x_led(parse_pattern(p))
     a, b = variable_counts(p)
@@ -120,21 +129,44 @@ def _plan(p: str) -> tuple:
         else:
             cy += 1
     key = pin = None
+    square = lead == 1 and p[2:4] == p[:2]
     if lead >= 2:
         key = (0, p[1] == "X")
-    elif run_x:
+    elif run_x and not square:
         key = (run_y, run_x[0] == "X")
-    if run_x:
+    if run_x and not square:
         after = after_y[len(run_x):len(run_x) + 1]  # the y slot after the run, if any
         pin = (run_y, _run(run_x), after == body[0], after not in ("", body[run_y - 1]))
     return (a, b, lead, _run(p[2:lead]), tuple(tail), key, "x" in p and "X" in p,
-            body[:1] == "y", pin)
+            body[:1] == "y", pin, square)
 
 
 def _run(syms: str):
     """A run of x slots: its length when every slot is forward, else the
     slots' orientation flags."""
     return len(syms) if "X" not in syms else tuple(sym == "x" for sym in syms)
+
+
+def _square_halves(w: bytes, start: int, least: int, most: int):
+    """Yield, ascending, every half-length P, least <= P <= most, of a
+    square w[start:start + 2P].
+
+    The recurrence jump of xx: a square of half P' >= P has the length-P
+    head at start + P', so with g the head's first place from start + P to
+    start + most, no half lies strictly between P and g - start.  P is a
+    half when g is start + P, and jumps to g - start otherwise; with no g,
+    no half is left.
+    """
+    half = least
+    while half <= most:
+        g = w.find(w[start:start + half], start + half, start + most + half)
+        if g < 0:
+            return
+        if g == start + half:
+            yield half
+            half += 1
+        else:
+            half = g - start
 
 
 def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
@@ -144,8 +176,8 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
 
     Returns the (x, y) values of that instance, y None for x-only patterns,
     or None when no such instance within the bounds starts there.  Each
-    candidate's slots are compared at their own offsets; five prunings
-    choose the candidates.
+    candidate's slots are compared at their own offsets; six prunings
+    choose the candidates, the sixth in place of the first and third.
 
     1. The recurrence jump.  When x recurs, the key slot (see ``_plan``)
        begins lx + ky*ly letters after the start, so at least lx + ky and
@@ -173,12 +205,28 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
     5. When that slot has the opposite orientation to the y slot before the
        run, its first letter is that slot's last, so the letters on both
        sides of the run must agree.
+    6. The squares.  When p opens with xy.xy or xY.xY, every instance
+       begins with a square of half lx + ly, and it has at most
+       max(a, b)(lx + ly) letters, so only the halves that
+       ``_square_halves`` yields from floor // max(a, b) + 1 up to room // 2
+       (and lim_x + max_y under a |Y| cap) are tried: with none, no
+       instance starts here, |X| stays below the largest, and each |Y| is a
+       half less |X|.
     """
-    a, b, lead, lead_rest, tail, key, two_sided, y_fwd, pin = plan
+    a, b, lead, lead_rest, tail, key, two_sided, y_fwd, pin, square = plan
     room = len(w) - start
     lim_x = (room - b) // a
     if max_x is not None and max_x < lim_x:
         lim_x = max_x
+    if square:
+        # an instance has a|X| + b|Y| <= max(a, b)(|X| + |Y|) letters, more than the floor
+        top = room // 2 if max_y is None else min(room // 2, lim_x + max_y)
+        halves = list(_square_halves(w, start, max(2, floor // max(a, b) + 1), top))
+        if not halves:
+            return None  # no square starts here, so no instance does
+        if halves[-1] <= lim_x:
+            lim_x = halves[-1] - 1
+        halves.append(room)  # past every |X| + |Y|: ends each |Y| walk
     if key:
         ky, rev = key
     lim_y = f = 0
@@ -229,8 +277,11 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
                 if (q - base) % run_y or mirror and w[q - 1] != w[q + run_len]:
                     continue
                 ly = (q - base) // run_y
-            elif ly > lim_y:
-                break
+            else:
+                if square:
+                    ly = halves[bisect_left(halves, lx + ly)] - lx
+                if ly > lim_y:
+                    break
             ys = w[base:base + ly]
             segs = (xf, xr, ys, ys[::-1]) if y_fwd else (xf, xr, ys[::-1], ys)
             for cx, cy, seg in tail:

@@ -29,7 +29,7 @@ import re
 from functools import lru_cache
 from itertools import accumulate, islice
 
-from .matcher import parse_word
+from .matcher import _square_halves, parse_word
 
 # Binary morphisms as (image of 0, image of 1).
 H = ("01", "10")
@@ -108,9 +108,12 @@ _sl_word = bytearray()
 _sl_emitted = 0
 
 
-# A square outside {00, 11, 0101} at the start of the reversed word, that is,
-# ending the word: half-length 2 except 0101 (1010 reversed), or 3 and more.
-_FORBIDDEN_SQUARE = re.compile(rb"(?!1010)(..)\1|(...+)\2")
+def _ends_in_forbidden_square(word: bytearray) -> bool:
+    """Does a square outside {00, 11, 0101} end ``word``: does the reversed
+    word start with a square of half 2 other than 1010, or of half 3 or more?"""
+    rev = word[::-1]
+    return any(half > 2 or not rev.startswith(b"1010")
+               for half in _square_halves(rev, 0, 2, len(rev) // 2))
 
 
 def _extend_square_limited(word: bytearray, target: int, floor: int) -> None:
@@ -122,7 +125,7 @@ def _extend_square_limited(word: bytearray, target: int, floor: int) -> None:
     c = 0x30  # try 0 first: the generated word is lexicographically least
     while len(word) < target:
         word.append(c)
-        bad = _FORBIDDEN_SQUARE.match(word[::-1]) is not None
+        bad = _ends_in_forbidden_square(word)
         if bad:
             # drop the failed letter and every 1 before it; the 0 reached becomes a 1
             while word.pop() == 0x31:

@@ -17,11 +17,32 @@ from revpat.matcher import (
     x_led,
 )
 from revpat.patterns import PATTERN_ALPHABET, equivalence_class, iota, variable_counts
-from revpat.sequences import alternating_prefix, thue_morse_prefix
+from revpat.sequences import alternating_prefix, square_limited_prefix, thue_morse_prefix
 
 ALL_PATTERNS_TO_4 = ["".join(t) for n in range(1, 5)
                      for t in product(PATTERN_ALPHABET, repeat=n)]
 ALL_PATTERNS_5 = ["".join(t) for t in product(PATTERN_ALPHABET, repeat=5)]
+
+
+class _CountedWord(bytes):
+    """A word whose ``find`` fails after 100 calls, so a kernel call that
+    stops making progress fails instead of looping."""
+
+    finds = 0
+
+    def find(self, *args):
+        self.finds += 1
+        if self.finds > 100:
+            raise RuntimeError("the kernel called find more than 100 times")
+        return super().find(*args)
+
+
+def test_key_hit_at_the_reach_needs_no_jump():
+    # kept first in the module: the key slot's head found exactly at this
+    # |X|'s reach is an instance, and jumping there would leave |X| as it is
+    for p, w, want in (("xx", b"00", (b"0", None)), ("xyx", b"010", (b"0", b"1")),
+                       ("xxX", b"000", (b"0", None))):
+        assert matcher._match_at(matcher._plan(p), _CountedWord(w), 0) == want, p
 
 
 def test_parse_word():
@@ -106,17 +127,20 @@ def test_y_only_patterns_report_y_assignments():
     assert witness_image("yy", w) == "00"
 
 
-def _oracle_find(w, p, max_x=None, max_y=None):
+def _oracle_find(w, p, max_x=None, max_y=None, starts=None, floor=0):
     """Direct enumeration of (start, |X|, |Y|): each slot's letters, read
     backwards in an uppercase slot, must equal its variable's first value;
-    independent of the matcher's slot logic."""
+    independent of the matcher's slot logic.  ``starts`` limits the starts
+    tried; instances no longer than ``floor`` are skipped."""
     a, b = variable_counts(p)
     n = len(w)
-    for start in range(n):
+    for start in range(n) if starts is None else starts:
         for lx in (range(1, min(n, max_x or n) + 1) if a else (0,)):
             for ly in (range(1, min(n, max_y or n) + 1) if b else (0,)):
                 if start + a * lx + b * ly > n:
                     break  # a longer |Y| overruns the word too
+                if a * lx + b * ly <= floor:
+                    continue
                 values = {}
                 pos = start
                 for sym in p:
@@ -178,6 +202,55 @@ def test_matcher_agrees_with_oracle_on_all_short_patterns():
         if _y_after_pinned_run(p):
             for w in long_words:
                 assert find_instance(w, p) == _oracle_find(w, p), (p, w)
+
+
+# every x-led pattern up to length 6 that opens with a repeated two-slot
+# block, xy.xy or xY.xY: the kernel reads its |Y| off the squares at a start
+SQUARE_LED = ["x" + y + "x" + y + "".join(t) for y in "yY"
+              for n in range(3) for t in product(PATTERN_ALPHABET, repeat=n)]
+
+
+def test_square_led_kernel_agrees_with_oracle_on_square_rich_words():
+    # overlap-free, periodic and square-limited hosts, where most starts
+    # begin with a square and some with several; every start, floors 0..5,
+    # with and without caps
+    hosts = [thue_morse_prefix(32), thue_morse_prefix(64)[29:], "01" * 12,
+             square_limited_prefix(30), "0102" * 6]
+    for p in SQUARE_LED:
+        plan = matcher._plan(p)
+        assert plan[-1], p  # the square path
+        for w in hosts:
+            data = w.encode()
+            for start in range(len(w)):
+                for floor in range(6):
+                    for max_x, max_y in ((None, None), (2, 3), (3, 1)):
+                        got = matcher._match_at(plan, data, start, max_x, max_y, floor)
+                        want = _oracle_find(w, p, max_x, max_y, (start,), floor)
+                        assert got == (want and (want.x.encode(), want.y.encode())), (
+                            p, w, start, max_x, max_y, floor)
+            assert find_instance(w, p) == _oracle_find(w, p), (p, w)
+
+
+def test_square_led_kernel_stops_where_no_square_starts():
+    # 0120 starts no square, so neither does an instance of xyxy's form
+    w = b"01201010"
+    assert list(matcher._square_halves(w, 0, 1, len(w) // 2)) == []
+    assert list(matcher._square_halves(w, 3, 1, 2)) == [2]  # 0101
+    for p, at_3 in (("xyxy", (b"0", b"1")), ("xYxYx", (b"0", b"1")), ("xyxyy", None)):
+        assert matcher._match_at(matcher._plan(p), _CountedWord(w), 0) is None
+        assert matcher._match_at(matcher._plan(p), w, 3) == at_3, p
+
+
+def test_square_halves_are_the_squares_at_a_start():
+    words = [thue_morse_prefix(80), "01" * 30, "0" * 40, square_limited_prefix(80), "0102" * 15]
+    for w in words:
+        data = w.encode()
+        for start in range(len(w)):
+            room = len(w) - start
+            squares = [h for h in range(1, room // 2 + 1) if w[start:start + h] == w[start + h:start + 2 * h]]
+            for least, most in ((1, room // 2), (2, room // 2), (3, 5), (1, 1)):
+                got = list(matcher._square_halves(data, start, least, most))
+                assert got == [h for h in squares if least <= h <= most], (w, start, least, most)
 
 
 @settings(max_examples=200, deadline=None)

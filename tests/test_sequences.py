@@ -107,7 +107,7 @@ def test_square_limited_extension_never_revises_the_emitted_floor():
 
 def test_square_limited_extension_cannot_backtrack_past_the_first_letter(monkeypatch):
     # a rule that forbids every word leaves no first letter to revise
-    monkeypatch.setattr(seq, "_FORBIDDEN_SQUARE", re.compile(b""))
+    monkeypatch.setattr(seq, "_ends_in_forbidden_square", lambda word: True)
     with pytest.raises(RuntimeError, match="backtracked past position 0"):
         seq._extend_square_limited(bytearray(), 3, 0)
 
@@ -304,7 +304,20 @@ def _brute_forbidden_square_ends(w):
 
 
 def _generator_end_test(w):
-    return seq._FORBIDDEN_SQUARE.match(w[::-1].encode()) is not None
+    return seq._ends_in_forbidden_square(bytearray(w.encode()))
+
+
+# The generator's former end test: a square outside {00, 11, 0101} at the
+# start of the reversed word, half-length 2 except 1010, or 3 and more.
+_FORBIDDEN_SQUARE = re.compile(rb"(?!1010)(..)\1|(...+)\2")
+
+
+def test_forbidden_square_end_test_matches_the_regular_expression():
+    for n in range(17):
+        for letters in product(b"01", repeat=n):
+            word = bytearray(letters)
+            assert seq._ends_in_forbidden_square(word) == (
+                _FORBIDDEN_SQUARE.match(word[::-1]) is not None), word
 
 
 _WORDS = st.sampled_from(["01", "012", "0123456789"]).flatmap(

@@ -1,6 +1,7 @@
-"""Mutation check for the slot kernel's pruning rules, the bound on the
-left-completion search, the prover's end check and dead-suffix table, the
-oracle's class verdict, and the registry's Thue-Morse clauses and sampled caps.
+"""Mutation check for the slot kernel's pruning rules, the square walk it
+shares with the square-limited generator, the bound on the left-completion
+search, the prover's end check and dead-suffix table, the oracle's class
+verdict, and the registry's Thue-Morse clauses and sampled caps.
 
     python3 tools/mutants.py
 
@@ -21,8 +22,10 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-29 rows took 4.5 minutes on a 2-core x86-64 machine with Python 3.11; the
-unmutated run took 19 s, so row 3, whose broken jump loops, stops at 56 s.
+38 rows took 5.3 minutes on a 2-core x86-64 machine with Python 3.11, and
+the unmutated run about 23 s.  Every row fails a test: row 3, whose broken
+jump loops, fails the first kernel test in ``tests/test_matcher.py``, whose
+word gives up after 100 calls to ``find``, well before the timeout.
 """
 
 from __future__ import annotations
@@ -65,6 +68,25 @@ MUTANTS = [
      "pin search starts past the key's hit, which may be the pin itself"),
     (M, "w[start + 2 * lx:base]", "w[start + lx:base]",
      "lead check reads from the second lead slot, which the key already fixed"),
+    # the squares at a start, read for xy.xy-led patterns and the square-limited word
+    (M, "            half = g - start\n", "            half = g - start + 1\n",
+     "square walk jumps one past the head's next place: a square of that half is missed"),
+    (M, "    half = least\n", "    half = least + 1\n",
+     "square walk starts one past its least half-length"),
+    (M, "max(2, floor // max(a, b) + 1)", "max(2, floor // max(a, b) + 2)",
+     "least square half one too large: an instance just longer than the floor is missed"),
+    (M, "min(room // 2, lim_x + max_y)", "min(room // 2, lim_x + max_y - 1)",
+     "capped square walk stops one half short"),
+    (M, "        if not halves:\n", "        if len(halves) < 2:\n",
+     "early None taken when exactly one square starts there"),
+    (M, "lim_x = halves[-1] - 1", "lim_x = halves[-1] - 2",
+     "|X| stops two below the largest half: |Y| = 1 on the largest square is missed"),
+    (M, "ly = halves[bisect_left(halves, lx + ly)] - lx", "ly = halves[bisect_left(halves, lx + ly)] - lx + 1",
+     "|Y| read off a half one too large"),
+    (M, "ly = halves[bisect_left(halves, lx + ly)] - lx", "ly = halves[bisect_left(halves, lx + ly + 1)] - lx",
+     "next half searched past the least |Y| left: the half giving it is skipped"),
+    (S, 'not rev.startswith(b"1010")', 'not rev.startswith(b"0101")',
+     "square-limited generator excepts 0101 for 1010 at the start of the reversed word"),
     # the repeat floor
     (M, "found = _match_at(plan, data, start, max_x, max_y, floor)",
      "found = _match_at(plan, data, start, max_x, max_y, floor + 1)",
