@@ -134,8 +134,7 @@ def _dispatch(args: argparse.Namespace, as_json: bool) -> int:
             payload["coloring"] = result.coloring
             payload["odd_cycle"] = result.odd_cycle
             if result.is_bipartite:
-                coloring = " ".join(f"{v}={c}" for v, c in sorted(
-                    result.coloring.items(), key=lambda kv: patterns.pattern_key(kv[0])))
+                coloring = " ".join(f"{v}={c}" for v, c in result.coloring.items())
                 lines.append(f"bipartite: yes ({coloring})")
             else:
                 lines.append("bipartite: no (odd walk: " + " - ".join(result.odd_cycle) + ")")

@@ -17,7 +17,11 @@ searching below it again.
 
 The pattern graph (an edge {reversed-mark(a), b} for every length-2 factor
 ab) decides whether the alternating word 0101... contains an instance: it
-does exactly when the graph is 2-colorable.
+does exactly when the graph is 2-colorable, that is, when it has no odd
+cycle.  Lemma: on its four vertices that means no loop and no triangle.  A
+shortest odd cycle has no chord (a chord would split it into two shorter
+cycles, one of them odd), and a chordless cycle of five or more edges needs
+five vertices.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from bisect import insort
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations, product
+from typing import ClassVar
 
 from .matcher import _match_at, _plan, apply_morphism
 from .patterns import (
@@ -330,11 +336,12 @@ class PatternGraph:
     """Multigraph on the four pattern symbols; loops allowed.
 
     One edge {reverse_mark(a), b} per length-2 factor ab of the source
-    pattern, kept in factor order (so multiplicities are preserved).
+    pattern, kept in factor order (so multiplicities are preserved).  The
+    vertices are fixed: the module's lemma holds for these four only.
     """
 
     edges: tuple[tuple[str, str], ...]
-    vertices: tuple[str, ...] = tuple(PATTERN_ALPHABET)
+    vertices: ClassVar[tuple[str, ...]] = tuple(PATTERN_ALPHABET)
 
 
 def pattern_graph(p: str) -> PatternGraph:
@@ -357,48 +364,21 @@ class BipartiteResult:
 
 
 def bipartite_check(g: PatternGraph) -> BipartiteResult:
+    """The first loop [u, u] in edge order, else the first triangle
+    [a, b, c, a] in symbol order, else the least proper coloring in symbol
+    order (each component's least vertex colored 0).  By the module's
+    lemma, one of the three exists."""
     for u, v in g.edges:
         if u == v:
             return BipartiteResult(odd_cycle=[u, u])
-
-    adjacency: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-
-    color: dict[str, int] = {}
-    parent: dict[str, str | None] = {}
-    for root in g.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        parent[root] = None
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adjacency[u], key=pattern_key):
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return BipartiteResult(odd_cycle=_odd_walk(u, v, parent))
-    return BipartiteResult(coloring=color)
-
-
-def _odd_walk(u: str, v: str, parent: dict) -> list[str]:
-    def path_to_root(w: str) -> list[str]:
-        path = [w]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path[::-1]
-
-    pu, pv = path_to_root(u), path_to_root(v)
-    common = 0
-    while common < min(len(pu), len(pv)) and pu[common] == pv[common]:
-        common += 1
-    # u ... lowest common ancestor ... v, then the conflicting edge back to u
-    return pu[common - 1:][::-1] + pv[common:] + [u]
+    edges = {frozenset(e) for e in g.edges}
+    for a, b, c in combinations(g.vertices, 3):
+        if {frozenset((a, b)), frozenset((b, c)), frozenset((a, c))} <= edges:
+            return BipartiteResult(odd_cycle=[a, b, c, a])
+    colorings = (dict(zip(g.vertices, colors))
+                 for colors in product((0, 1), repeat=len(g.vertices)))
+    return BipartiteResult(coloring=next(
+        c for c in colorings if all(c[u] != c[v] for u, v in g.edges)))
 
 
 def instance_in_alternating(p: str) -> tuple[str | None, str | None] | None:

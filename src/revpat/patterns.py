@@ -8,7 +8,9 @@ of the same variable's value.  Three involutions act on patterns,
 * ``iota(2, p)`` swaps the two variables (x<->y, X<->Y),
 * ``iota(3, p)`` reverses the symbol sequence,
 
-and generate an equivalence with orbits of at most 16 patterns per length.
+and generate a group of 16 elements: the eight renamings that keep x with X
+and y with Y, each with or without reversal (reversal commutes with every
+renaming).  ``equivalence_class`` lists the 16 images of a pattern.
 ``canonical`` picks the least orbit member under the symbol order
 x < X < y < Y (which differs from ASCII order, hence ``pattern_key``).
 """
@@ -19,9 +21,11 @@ from functools import lru_cache
 
 PATTERN_ALPHABET = "xXyY"
 
-_MARK = str.maketrans("xXyY", "XxYy")
-_SWAP_REVERSAL = str.maketrans("xX", "Xx")
-_SWAP_VARIABLES = str.maketrans("xXyY", "yYxX")
+# The eight renamings, each as its images of x, X, y, Y: the identity, iota 1,
+# reverse_mark, iota 2 and their products.
+_RENAMINGS = tuple(str.maketrans(PATTERN_ALPHABET, images) for images in (
+    "xXyY", "XxyY", "xXYy", "XxYy", "yYxX", "YyxX", "yYXx", "YyXx"))
+_SWAP_REVERSAL, _MARK, _SWAP_VARIABLES = _RENAMINGS[1], _RENAMINGS[3], _RENAMINGS[4]
 _SYMBOL_RANK = {c: i for i, c in enumerate(PATTERN_ALPHABET)}
 
 
@@ -50,6 +54,7 @@ def reverse_mark(symbol: str) -> str:
 
 
 def iota(j: int, p: str) -> str:
+    parse_pattern(p)
     if j == 1:
         return p.translate(_SWAP_REVERSAL)
     if j == 2:
@@ -72,18 +77,10 @@ def variable_counts(p: str) -> tuple[int, int]:
 
 @lru_cache(maxsize=1 << 16)
 def equivalence_class(p: str) -> frozenset[str]:
-    """Closure of {p} under the three involutions (breadth-first)."""
-    seen = {parse_pattern(p)}
-    frontier = [p]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for r in (q.translate(_SWAP_REVERSAL), q.translate(_SWAP_VARIABLES), q[::-1]):
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return frozenset(seen)
+    """The images of p under the 16 symmetries: each renaming, with and
+    without reversal."""
+    images = [parse_pattern(p).translate(table) for table in _RENAMINGS]
+    return frozenset(images + [q[::-1] for q in images])
 
 
 @lru_cache(maxsize=1 << 16)

@@ -5,6 +5,8 @@ import pytest
 from revpat import engine
 from revpat.engine import (
     Avoidability,
+    BipartiteResult,
+    PatternGraph,
     SEED_PARTITION,
     THREE_AVOIDABLE_SEEDS,
     TWO_AVOIDABLE_SEEDS,
@@ -17,7 +19,7 @@ from revpat.engine import (
     seed_free_patterns,
 )
 from revpat.matcher import apply_morphism, avoids, find_instance_bounded
-from revpat.patterns import PATTERN_ALPHABET, canonical, factors
+from revpat.patterns import PATTERN_ALPHABET, canonical, factors, pattern_key
 from revpat.sequences import alternating_prefix
 
 
@@ -242,15 +244,67 @@ def _valid_odd_walk(g, walk):
     return all(tuple(sorted(e, key="xXyY".index)) in edges for e in steps)
 
 
+def test_pattern_graph_vertices_are_not_a_parameter():
+    assert PatternGraph(edges=()).vertices == tuple(PATTERN_ALPHABET)
+    with pytest.raises(TypeError):
+        PatternGraph(edges=(), vertices=("x",))
+
+
+def test_bipartite_check_reads_edges_either_way_round():
+    g = PatternGraph(edges=(("y", "x"), ("X", "y"), ("X", "x")))
+    assert bipartite_check(g).odd_cycle == ["x", "X", "y", "x"]
+    assert bipartite_check(PatternGraph(edges=(("Y", "x"),))).coloring == {
+        "x": 0, "X": 0, "y": 0, "Y": 1}
+
+
+def _reference_bipartite_check(g):
+    """Breadth-first 2-coloring from each uncolored vertex in symbol order;
+    on a conflict, the odd closed walk through the two BFS-tree paths."""
+    for u, v in g.edges:
+        if u == v:
+            return BipartiteResult(odd_cycle=[u, u])
+    adjacency = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    color, parent = {}, {}
+    for root in g.vertices:
+        if root in color:
+            continue
+        color[root], parent[root] = 0, None
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in sorted(adjacency[u], key=pattern_key):
+                if v not in color:
+                    color[v], parent[v] = 1 - color[u], u
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    pu, pv = [u], [v]
+                    for path in (pu, pv):
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        path.reverse()
+                    common = 0
+                    while common < min(len(pu), len(pv)) and pu[common] == pv[common]:
+                        common += 1
+                    # u ... lowest common ancestor ... v, then the conflicting edge back to u
+                    return BipartiteResult(odd_cycle=pu[common - 1:][::-1] + pv[common:] + [u])
+    return BipartiteResult(coloring=color)
+
+
 def test_bipartite_check_is_sound_for_all_short_patterns():
-    for n in range(2, 4):
+    for n in range(7):
         for tup in product(PATTERN_ALPHABET, repeat=n):
             g = pattern_graph("".join(tup))
-            res = bipartite_check(g)
+            res, ref = bipartite_check(g), _reference_bipartite_check(g)
+            assert res.is_bipartite == ref.is_bipartite, tup
             if res.is_bipartite:
+                assert res.coloring == ref.coloring, tup
                 assert all(res.coloring[u] != res.coloring[v] for u, v in g.edges)
             else:
-                assert _valid_odd_walk(g, res.odd_cycle)
+                assert _valid_odd_walk(g, res.odd_cycle), tup
+                assert len(res.odd_cycle) <= 4 and set(res.odd_cycle) == set(ref.odd_cycle)
 
 
 def test_alternating_avoided_seeds_have_odd_cycles():

@@ -45,6 +45,7 @@ PATTERN_QUESTIONS = {
     "classify": classify,
     "canonical": canonical,
     "equivalence_class": equivalence_class,
+    "iota": lambda p: iota(2, p),
     "find_instance": lambda p: find_instance("0101", p),
     "find_instance_bounded": lambda p: find_instance_bounded("0101", p, 2, 2),
     "avoids": lambda p: avoids("0000", p),
@@ -128,6 +129,13 @@ def _full_orbit(p):
 @given(patterns_st)
 def test_class_matches_brute_force_orbit(p):
     assert equivalence_class(p) == _full_orbit(p)
+
+
+def test_class_matches_brute_force_orbit_for_all_short_patterns():
+    for n in range(7):
+        for tup in product(PATTERN_ALPHABET, repeat=n):
+            p = "".join(tup)
+            assert equivalence_class(p) == _full_orbit(p), p
 
 
 def test_class_size_of_xyXy_is_pinned():

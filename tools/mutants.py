@@ -1,7 +1,8 @@
 """Mutation check for the slot kernel's pruning rules, the square walk it
 shares with the square-limited generator, the bound on the left-completion
 search, the prover's end check and dead-suffix table, the oracle's class
-verdict, and the registry's Thue-Morse clauses and sampled caps.
+verdict, the registry's Thue-Morse clauses and sampled caps, the table of
+pattern symmetries and the pattern graph's loop-or-triangle test.
 
     python3 tools/mutants.py
 
@@ -11,7 +12,7 @@ row the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
 temporary directory, applies that one replacement, and runs
 
     python3 -m pytest -x -q tests/test_matcher.py tests/test_engine.py \
-        tests/test_sequences.py tests/test_verify.py
+        tests/test_sequences.py tests/test_verify.py tests/test_patterns.py
 
 there.  A mutant is *killed* when a test fails, or when the run outlasts
 ``TIMEOUT_FACTOR`` times the unmutated run (a broken jump can loop forever);
@@ -22,8 +23,8 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-38 rows took 5.3 minutes on a 2-core x86-64 machine with Python 3.11, and
-the unmutated run about 23 s.  Every row fails a test: row 3, whose broken
+42 rows took 4.6 minutes on a 2-core x86-64 machine with Python 3.11, and
+the unmutated run about 14 s.  Every row fails a test: row 3, whose broken
 jump loops, fails the first kernel test in ``tests/test_matcher.py``, whose
 word gives up after 100 calls to ``find``, well before the timeout.
 """
@@ -40,11 +41,12 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TESTS = ["tests/test_matcher.py", "tests/test_engine.py", "tests/test_sequences.py",
-         "tests/test_verify.py"]
+         "tests/test_verify.py", "tests/test_patterns.py"]
 TIMEOUT_FACTOR = 3
 
 M = "revpat/matcher.py"
 E = "revpat/engine.py"
+P = "revpat/patterns.py"
 S = "revpat/sequences.py"
 V = "revpat/verify.py"
 
@@ -149,6 +151,17 @@ MUTANTS = [
      "g-avoidance searches |X|, |Y| <= 3 only"),
     (V, "cap = min(n // 5, SQUARE_LIMITED_CAP)", "cap = min(n // 5, 2)",
      "square-limited-xyxyX searches |X|, |Y| <= 2 only"),
+    # the symmetry table and the pattern graph's closed form
+    (P, ', "YyXx"', "",
+     "one renaming missing from the table: classes lose the images it gives"),
+    (P, "frozenset(images + [q[::-1] for q in images])", "frozenset(images)",
+     "reversed images dropped from the class"),
+    (E, "            return BipartiteResult(odd_cycle=[a, b, c, a])\n",
+     "            pass\n",
+     "triangle clause dropped: a graph with a triangle and no loop has no coloring "
+     "to return"),
+    (E, "product((0, 1), repeat=", "product((1, 0), repeat=",
+     "colorings enumerated greatest first: each component's least vertex colored 1"),
 ]
 
 
