@@ -98,6 +98,8 @@ def covering_prefix_length(factor_len: int) -> int:
     2**e + 1 occur in the prefix of length 7 * 2**e; the returned value is the
     smallest such 7 * 2**e covering the requested factor length.
     """
+    if factor_len < 0:
+        raise ValueError("factor length must be >= 0")
     return 7 << max(factor_len - 2, 0).bit_length()
 
 
@@ -276,10 +278,8 @@ _PREFIXES = {
     "alternating": alternating_prefix,
     "square-limited": square_limited_prefix,
     "g-ternary": lambda n: g_from(square_limited_prefix(n))[:n],
-    "w1": lambda n: apply_binary_morphism(F1, thue_morse_prefix(n))[:n],
-    "w2": lambda n: apply_binary_morphism(F2, thue_morse_prefix(n))[:n],
-    "w3": lambda n: apply_binary_morphism(F3, thue_morse_prefix(n))[:n],
-    "w4": lambda n: apply_binary_morphism(F4, thue_morse_prefix(n))[:n],
+    **{"w" + name[1:]: lambda n, m=m: apply_binary_morphism(m, thue_morse_prefix(n))[:n]
+       for name, m in MORPHISMS.items() if m != H},
 }
 
 SEQUENCE_IDS = tuple(_PREFIXES)

@@ -14,10 +14,11 @@ before it yields one counterexample that names each clause that fails.
 
 Prefix lengths for the w1..w4 checks are derived at run time from
 ``bound_factor_length`` and the Thue-Morse covering arithmetic rather than
-hardcoded; where a specific derived value is load-bearing (56, 112) a
-different value fails the report with a counterexample naming what was
-derived.  The covering arithmetic and ``tm-desubstitution`` rest on one clause,
-``_fixed_point_break``: t[:n] is h(t[:ceil(n/2)]) cut to n letters.
+hardcoded; where a specific derived value is load-bearing a different value
+fails the report with a counterexample naming what was derived.  A variable
+that a pattern uses in both orientations is capped by one clause,
+``_reversal_bound``.  The covering arithmetic and ``tm-desubstitution`` rest on
+one clause, ``_fixed_point_break``: t[:n] is h(t[:ceil(n/2)]) cut to n letters.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .sequences import (
     F3,
     F4,
     H,
-    MORPHISMS,
     alternating_prefix,
     apply_binary_morphism,
     bispecial_factors,
@@ -68,7 +68,8 @@ from .sequences import (
 )
 
 # Binary words z of length 1..6 that may occur in w3 together with their
-# reversals; anything longer never does.
+# reversals; none of length 7 does (the reversal clause of
+# w3-contexts-repaired), so none longer does either.
 UPSILON = frozenset({
     "1", "0",
     "11", "10", "00", "01",
@@ -110,9 +111,22 @@ class VerificationReport:
 def bound_factor_length(u_len: int, image1_len: int) -> int:
     """Length bound on a Thue-Morse factor v with u a factor of m(v).
 
-    For a binary morphism m fixing 0 with |m(1)| = image1_len, any factor u
-    of m(t) already occurs in m(v) for some factor v of t no longer than
-    2(|u| + 3|m(1)| - 3) / (|m(1)| + 1); returns that bound rounded down.
+    For a binary morphism m with m(0) = 0 and |m(1)| = image1_len = l, every
+    occurrence of a factor u in m(t) lies in m(v) for the factor v of t whose
+    letters' images it meets, and |v| <= floor(2(|u| + 3l - 3) / (l + 1)), the
+    value returned.  Every l >= 1 is covered; at l = 1 the bound |u| is exact.
+
+    Proof.  t = h(t) (the fixed-point clause), so t is a run of the blocks 01
+    and 10, and a factor of t of length n holds at least floor((n - 1) / 2)
+    whole blocks, hence as many 1s.  Let k = |v| >= 2.  The occurrence holds a
+    letter of m(v[0]), a letter of m(v[-1]) and all of m(v[1:-1]), whose
+    k - 2 letters hold at least (k - 4) / 2 ones, each l - 1 letters longer in
+    the image than a 0.  So |u| >= 2 + (k - 2) + (l - 1)(k - 4) / 2, that is
+    k <= 2(|u| + 2l - 2) / (l + 1), at most the bound since 2l - 2 <= 3l - 3.
+    k = 1 needs |u| >= 1, where the bound is at least 2(3l - 2) // (l + 1) >= 1,
+    and k = 0 only the empty u.  v extends rightwards to a factor of t of the
+    bound's length, which ``tm-prefix-covering`` places in the prefix that
+    ``_image_window`` maps: its image holds every factor of m(t) of length |u|.
     """
     if u_len < 0 or image1_len < 1:
         raise ValueError("factor length must be >= 0 and image length >= 1")
@@ -123,6 +137,20 @@ def _image_window(m: tuple[str, str], factor_len: int) -> tuple[str, str, list[i
     """``tm_image`` of the Thue-Morse prefix whose m-image contains every
     m(t)-factor of the given length."""
     return tm_image(m, covering_prefix_length(bound_factor_length(factor_len, len(m[1]))))
+
+
+def _reversal_bound(m: tuple[str, str], length: int) -> tuple[str | None, int]:
+    """The least reversible factor of m(t) of the given length L, or None, and
+    the Thue-Morse prefix whose image was read.
+
+    If x and x reversed both occur and |x| >= L, then z = x[:L] occurs, and z
+    reversed, a suffix of x reversed, occurs too: z is reversible.  So when
+    this returns None, every variable that a pattern uses in both orientations
+    is shorter than L in any instance in m(t): its cap is L - 1.  The window
+    holds every length-L factor of m(t), so None speaks for all of m(t).
+    """
+    tau, w, _ = _image_window(m, length)
+    return min(reversible_factors(w, length), default=None), len(tau)
 
 
 def _instance_length(p: str, max_x: int, max_y: int) -> int:
@@ -175,10 +203,8 @@ def vf_square_limited(n: int = 2000, word: str | None = None) -> VerificationRep
 
 def mod3_step_violation(w: str) -> str | None:
     """First length-2 factor cd of a ternary word with c = d + 1 (mod 3)."""
-    for bad in ("10", "21", "02"):
-        if bad in w:
-            return bad
-    return None
+    return next((w[i:i + 2] for i in range(len(w) - 1) if w[i:i + 2] in ("10", "21", "02")),
+                None)
 
 
 def vf_g_avoidance(n: int = 400) -> VerificationReport:
@@ -225,49 +251,43 @@ def vf_square_limited_xyxyX(n: int = 400) -> VerificationReport:
 
 # --- the four morphic images ------------------------------------------------------
 
-def vf_w1() -> VerificationReport:
-    """w1 = f1(t) avoids xyxYX: no reversible length-7 factor, no short instance."""
-    rev_bound = bound_factor_length(7, len(F1[1]))
-    tau56, img56, _ = _image_window(F1, 7)
-    inst_len = _instance_length("xyxYX", 6, 6)
-    inst_bound = bound_factor_length(inst_len, len(F1[1]))
-    tau112, img112, _ = _image_window(F1, inst_len)
+# check id -> (morphism, pattern, the derived lengths it pins: the Thue-Morse
+# prefixes of the reversal and instance windows and the latter's image; claim)
+W1_W2 = {
+    "w1": (F1, "xyxYX", [56, 112, 672],
+           "f1(t) has no length-7 factor z with z reversed also a factor, and no "
+           "instance of xyxYX with |X|,|Y| <= 6; hence w1 avoids xyxYX"),
+    "w2": (F2, "xyXYx", [56, 112, 504],
+           "f2(t) restricted to the covering prefix (length 504) has no instance "
+           "of xyXYx with |X|,|Y| <= 6; hence w2 avoids xyXYx"),
+}
+
+
+def vf_w1_w2(check_id: str) -> VerificationReport:
+    """w1 = f1(t) avoids xyxYX, and w2 = f2(t) avoids xyXYx: both patterns use x
+    and y both ways, so the reversal bound at length 7 caps |X| and |Y| at 6,
+    and a bounded search finishes.  ``check_id`` names the row of ``W1_W2``."""
+    m, p, pinned, claim = W1_W2[check_id]
+    length = 7
+    cap = length - 1
+    reversible, rev_prefix = _reversal_bound(m, length)
+    inst_len = _instance_length(p, cap, cap)
+    tau, img, _ = _image_window(m, inst_len)
+    derived = [rev_prefix, len(tau), len(img)]
 
     def failures():
-        if not (rev_bound < 7 and inst_bound == 10 and len(tau56) == 56 and len(tau112) == 112):
-            yield {"derived": [rev_bound, inst_bound, len(tau56), len(tau112)]}
-        if rev := reversible_factors(img56, 7):
-            yield {"reversible_factor": sorted(rev)[0]}
-        if hit := _bounded_hit(img112, "xyxYX", 6, 6):
+        if derived != pinned:
+            yield {"derived": derived}
+        if reversible:
+            yield {"reversible_factor": reversible}
+        if hit := _bounded_hit(img, p, cap, cap):
             yield hit
 
     return _verdict(
-        "w1",
-        "f1(t) has no length-7 factor z with z reversed also a factor, and no "
-        "instance of xyxYX with |X|,|Y| <= 6; hence w1 avoids xyxYX",
-        {"reversible_length": 7, "max_x": 6, "max_y": 6},
-        failures(), {"tm_prefix_reversible": len(tau56), "tm_prefix_instances": len(tau112),
-                     "factor_bounds": [rev_bound, inst_bound]})
-
-
-def vf_w2() -> VerificationReport:
-    """w2 = f2(t) avoids xyXYx."""
-    tau, img, _ = _image_window(F2, _instance_length("xyXYx", 6, 6))
-
-    def failures():
-        if len(tau) != 112:
-            yield {"derived_prefix": len(tau)}
-        if len(img) != 504:
-            yield {"image_length": len(img)}
-        if hit := _bounded_hit(img, "xyXYx", 6, 6):
-            yield hit
-
-    return _verdict(
-        "w2",
-        "f2(t) restricted to the covering prefix (length 504) has no instance "
-        "of xyXYx with |X|,|Y| <= 6; hence w2 avoids xyXYx",
-        {"max_x": 6, "max_y": 6},
-        failures(), {"tm_prefix": len(tau), "image_length": len(img)})
+        check_id, claim, {"reversible_length": length, "max_x": cap, "max_y": cap},
+        failures(), {"tm_prefix_reversible": rev_prefix, "tm_prefix_instances": len(tau),
+                     "tm_prefix": len(tau), "image_length": len(img), "factor_bounds":
+                     [bound_factor_length(n, len(m[1])) for n in (length, inst_len)]})
 
 
 def _context_sets(w: str, y: str) -> tuple[set[str], set[str]]:
@@ -353,16 +373,21 @@ def vf_w3_contexts_repaired() -> VerificationReport:
     completion machinery for |X| >= 9 this is what the avoidance proof
     consumes.
     """
-    tau, w, _ = _image_window(F3, _instance_length("xyxYx", 8, 6))
+    length, max_x = 7, 8  # y occurs both ways, so |Y| < 7 by the reversal bound; x one way
+    max_y = length - 1
+    reversible, rev_prefix = _reversal_bound(F3, length)
+    tau, w, _ = _image_window(F3, _instance_length("xyxYx", max_x, max_y))
 
     def failures():
+        if reversible:
+            yield {"reversible_factor": reversible}
         for y in CONTEXT_TABLE:
             if y == y[::-1]:
                 continue
             left, right = _context_sets(w, y)
             if left and right:
                 yield {"y": y, "left": sorted(left), "right": sorted(right)}
-        if hit := _bounded_hit(w, "xyxYx", 8, 6):
+        if hit := _bounded_hit(w, "xyxYx", max_x, max_y):
             yield hit
 
     return _verdict(
@@ -370,8 +395,9 @@ def vf_w3_contexts_repaired() -> VerificationReport:
         "non-palindromic reversible factors of w3 outside {0,1,00} fail one of "
         "the two-sided context sets, and no instance of xyxYx with |X| <= 8 and "
         "|Y| <= 6 occurs at all",
-        {"max_x": 8, "max_y": 6},
-        failures(), {"tm_prefix": len(tau), "image_length": len(w)})
+        {"max_x": max_x, "max_y": max_y, "reversible_length": length},
+        failures(), {"tm_prefix": len(tau), "image_length": len(w),
+                     "tm_prefix_reversible": rev_prefix})
 
 
 def internal_factors(w: str, min_len: int) -> set[str]:
@@ -381,21 +407,23 @@ def internal_factors(w: str, min_len: int) -> set[str]:
 
 def vf_w4() -> VerificationReport:
     """The finite searches behind: w4 = f4(t) avoids xyXyx."""
-    windows = [_image_window(F4, 21), _image_window(F4, _instance_length("xyXyx", 20, 5)),
-               _image_window(F4, 26)]
-    rev_prefix, inst_prefix, bis_prefix = (len(tau) for tau, _, _ in windows)
+    length, max_y = 21, 5  # x occurs both ways, so |X| < 21 by the reversal bound; y one way
+    max_x = length - 1
+    reversible, rev_prefix = _reversal_bound(F4, length)
+    windows = [_image_window(F4, n) for n in (_instance_length("xyXyx", max_x, max_y), 26)]
+    inst_prefix, bis_prefix = (len(tau) for tau, _, _ in windows)
     tau, w, at = max(windows, key=lambda window: len(window[0]))
 
     def failures():
         if not (rev_prefix == 56 and inst_prefix == 112 and len(w) == 616):
             yield {"derived": [rev_prefix, inst_prefix, len(w)]}
 
-        # (a) no length-21 factor is reversible
-        if rev := reversible_factors(w, 21):
-            yield {"clause": "reversible", "factor": sorted(rev)[0]}
+        # (a) the reversal bound: no length-21 factor is reversible
+        if reversible:
+            yield {"clause": "reversible", "factor": reversible}
 
         # (b) no bounded instance of xyXyx in the covering image
-        if hit := _bounded_hit(w, "xyXyx", 20, 5):
+        if hit := _bounded_hit(w, "xyXyx", max_x, max_y):
             yield {"clause": "instances", **hit}
 
         # (c) every 011 ends an image block of 1
@@ -431,7 +459,7 @@ def vf_w4() -> VerificationReport:
         "|X|<=20,|Y|<=5 in the covering image, 011 occurs only as an image-block "
         "suffix, the six long internal factors of f4(1) stay inside blocks, and "
         "long bispecial factors are image words",
-        {"max_x": 20, "max_y": 5, "bispecial_range": [6, 24]},
+        {"max_x": max_x, "max_y": max_y, "bispecial_range": [6, 24], "reversible_length": length},
         failures(), {"tm_prefix": len(tau),
                      "per_clause": {"reversible": rev_prefix, "instances": inst_prefix,
                                     "bispecial": bis_prefix}})
@@ -595,33 +623,7 @@ def vf_classical_seed_avoiders(witness_len: int = 200,
         failures(), {"overlap_scan": overlap_prefix, "matcher_scan": matcher_prefix})
 
 
-# --- factor-locality of morphic images and Thue-Morse windows ---------------------
-
-def vf_image_locality(morphism: str, max_len: int = 30) -> VerificationReport:
-    """Short factors of m(t) appear in images of short Thue-Morse factors."""
-    if morphism not in MORPHISMS or morphism == "h":
-        raise ValueError("image locality applies to f1, f2, f3 or f4")
-    m = MORPHISMS[morphism]
-    tau, img, _ = _image_window(m, max_len)
-    searched_bound = {"image_prefix": len(tau), "factors_checked": 0}
-
-    def failures():
-        for length in range(1, max_len + 1):
-            bound = bound_factor_length(length, len(m[1]))
-            # the images of the Thue-Morse factors of length bound
-            src_tau, src, at = _image_window(m, length)
-            images = {src[at[i]:at[i + bound]] for i in range(len(src_tau) - bound + 1)}
-            for u in sorted(factor_set(img, length)):
-                searched_bound["factors_checked"] += 1
-                if not any(u in s for s in images):
-                    yield {"factor": u, "bound": bound}
-
-    return _verdict(
-        f"image-locality-{morphism}",
-        f"every factor of {morphism}(t) up to length {max_len} is a factor of "
-        f"{morphism}(v) for a Thue-Morse factor v within the derived length bound",
-        {"morphism": morphism, "max_len": max_len}, failures(), searched_bound)
-
+# --- Thue-Morse windows -------------------------------------------------------------
 
 def _fixed_point_break(n: int) -> int | None:
     """First position where t[:n] and h(t[:ceil(n/2)]) differ, or None; an image shorter
@@ -683,15 +685,14 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
 # check id -> (check, range (least, greatest) of each integer parameter).  A value
 # outside its range would leave the check nothing to search, or a search it does not
 # define or cannot afford: run_checks rejects it before any check runs.  What names the
-# check, such as the morphism of image-locality, is bound into the callable, so no
-# parameter can make one id run another check; so is an id's own default, which
-# inspect.signature then reports.
+# check, such as the W1_W2 row of w1 and w2, is bound into the callable, so no
+# parameter can make one id run another check.
 CHECKS: dict[str, tuple] = {
     "square-limited": (vf_square_limited, {"n": (1, inf)}),
     "g-avoidance": (vf_g_avoidance, {"n": (4, inf)}),
     "square-limited-xyxyX": (vf_square_limited_xyxyX, {"n": (5, inf)}),
-    "w1": (vf_w1, {}),
-    "w2": (vf_w2, {}),
+    "w1": (partial(vf_w1_w2, "w1"), {}),
+    "w2": (partial(vf_w1_w2, "w2"), {}),
     "w3": (vf_w3, {"completion_len": (2, inf)}),
     "w3-contexts-repaired": (vf_w3_contexts_repaired, {}),
     "w4": (vf_w4, {}),
@@ -701,10 +702,6 @@ CHECKS: dict[str, tuple] = {
         "max_len": (1, 5), "avoider_len": (1, inf), "unavoidable_depth": (1, inf)}),
     "classical-seeds": (vf_classical_seed_avoiders, {
         "witness_len": (1, inf), "matcher_prefix": (1, inf), "overlap_prefix": (1, inf)}),
-    "image-locality-f1": (partial(vf_image_locality, "f1"), {"max_len": (1, inf)}),
-    "image-locality-f2": (partial(vf_image_locality, "f2"), {"max_len": (1, inf)}),
-    "image-locality-f3": (partial(vf_image_locality, "f3", max_len=9), {"max_len": (1, inf)}),
-    "image-locality-f4": (partial(vf_image_locality, "f4", max_len=21), {"max_len": (1, inf)}),
     "tm-prefix-covering": (vf_tm_prefix_covering, {"max_exp": (0, 12)}),
     "tm-desubstitution": (vf_tm_desubstitution, {"prefix_len": (1, inf)}),
 }

@@ -157,10 +157,10 @@ def test_verify_rejects_a_repeated_parameter(capsys):
 
 
 def test_verify_morphism_is_not_a_parameter(capsys):
-    # the morphism names an image-locality check; a parameter cannot swap it
+    # the morphism is bound into w1 and w2; a parameter cannot swap it
     assert run(["verify", "--params", "morphism=f2"]) == 2
     assert "no check accepts parameter 'morphism'" in capsys.readouterr().err
-    assert run(["--json", "verify", "--only", "image-locality-f1", "--params", "morphism=f3"]) == 2
+    assert run(["--json", "verify", "--only", "w1", "--params", "morphism=f2"]) == 2
     assert "'morphism'" in json.loads(_out(capsys))["error"]
 
 
@@ -188,12 +188,11 @@ def test_verify_params_take_their_parameter_type(capsys):
 
 
 @pytest.mark.parametrize("param, only, sharing", [
-    ("max_len=5", "image-locality-f1", "alternating, classifier-oracle, image-locality-f1, "
-                                       "image-locality-f2, image-locality-f3, image-locality-f4"),
+    ("max_len=5", "alternating", "alternating, classifier-oracle"),
     ("n=400", "g-avoidance", "square-limited, g-avoidance, square-limited-xyxyX"),
 ], ids=["max_len=5", "n=400"])
 def test_verify_rejects_a_parameter_several_checks_accept(param, only, sharing, capsys):
-    # without --only, max_len=5 would also cut image-locality-f1 from 1,230 factors to 43
+    # without --only, max_len=5 would set the oracle's sweep too
     key, _, value = param.partition("=")
     assert run(["verify", "--params", param]) == 2
     assert f"'{key}' is accepted by several selected checks ({sharing})" in capsys.readouterr().err

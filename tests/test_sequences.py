@@ -370,6 +370,8 @@ def test_covering_prefix_length_values():
     assert covering_prefix_length(9) == 56
     assert covering_prefix_length(10) == 112
     assert covering_prefix_length(17) == 112
+    with pytest.raises(ValueError):
+        covering_prefix_length(-5)
 
 
 def test_tm_image_offsets_cut_out_every_factor_image():

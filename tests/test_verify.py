@@ -2,6 +2,7 @@ import ast
 import functools
 import inspect
 import json
+import operator
 import random
 import sys
 from math import inf
@@ -16,6 +17,7 @@ from revpat.patterns import canonical, factors
 from revpat.sequences import (
     ALLOWED_SQUARES,
     COMPLETION_FACTOR_BOUND,
+    F1,
     F2,
     F3,
     F4,
@@ -24,14 +26,17 @@ from revpat.sequences import (
     covering_prefix_length,
     factor_set,
     left_completions,
+    reversible_factors,
     thue_morse_prefix,
     tm_factor_images,
+    tm_image,
 )
 from revpat.verify import (
     CHECKS,
     UPSILON,
     _bounded_hit,
     _image_window,
+    _reversal_bound,
     bound_factor_length,
     internal_factors,
     mod3_step_violation,
@@ -57,8 +62,47 @@ def test_bound_factor_length_anchors():
     assert bound_factor_length(7, 11) < 7
     assert bound_factor_length(30, 11) == 10
     assert bound_factor_length(0, 1) == 0
+    # l = 1: v is u's own letters, so the bound is exact
+    assert [bound_factor_length(n, 1) for n in range(6)] == list(range(6))
     with pytest.raises(ValueError):
         bound_factor_length(-1, 1)
+
+
+@pytest.mark.parametrize("m", [F1, F2, F3, F4], ids=["f1", "f2", "f3", "f4"])
+def test_bound_factor_length_holds_at_every_length_a_check_reads(m):
+    # every occurrence of a factor u in f(t[:2048]) lies in the images of at
+    # most bound_factor_length(|u|, l) letters of t, by the docstring's sharper
+    # 2(|u| + 2l - 2) // (l + 1); and _image_window holds every such u
+    ell = len(m[1])
+    tau, image, at = tm_image(m, 2048)
+    letter = [i for i in range(len(tau)) for _ in range(at[i], at[i + 1])]
+    for n in range(1, 71):
+        span = max(map(operator.sub, letter[n - 1:], letter)) + 1
+        assert span <= 2 * (n + 2 * ell - 2) // (ell + 1) <= bound_factor_length(n, ell), n
+        _, window, _ = _image_window(m, n)
+        assert factor_set(image, n) <= factor_set(window, n), n
+
+
+@pytest.mark.parametrize("m, length", [(F1, 7), (F2, 7), (F3, 7), (F4, 21)],
+                         ids=["f1", "f2", "f3", "f4"])
+def test_reversal_bound_is_the_least_length_without_a_reversible_factor(m, length):
+    assert _reversal_bound(m, length) == (None, 56)
+    shorter, _ = _reversal_bound(m, length - 1)
+    _, window, _ = _image_window(m, length - 1)
+    assert len(shorter) == length - 1 and shorter[::-1] in window
+    assert shorter == min(reversible_factors(window, length - 1))
+
+
+def test_both_orientation_caps_are_read_off_the_reversal_length():
+    # (reversible length, |X| cap, |Y| cap): a variable used both ways is capped
+    # at L - 1; w4's y and w3-contexts-repaired's x occur one way only
+    expected = {"w1": (7, 6, 6), "w2": (7, 6, 6), "w3-contexts-repaired": (7, 8, 6),
+                "w4": (21, 20, 5)}
+    for cid, caps in expected.items():
+        [report] = run_checks(only=cid)
+        assert report.passed, (cid, report.counterexample)
+        params = report.parameters
+        assert (params["reversible_length"], params["max_x"], params["max_y"]) == caps, cid
 
 
 def test_registry_covers_the_finite_searches():
@@ -66,8 +110,7 @@ def test_registry_covers_the_finite_searches():
         "square-limited", "g-avoidance", "square-limited-xyxyX",
         "w1", "w2", "w3", "w3-contexts-repaired", "w4",
         "pigeonhole", "alternating", "classifier-oracle", "classical-seeds",
-        "image-locality-f1", "image-locality-f2", "image-locality-f3",
-        "image-locality-f4", "tm-prefix-covering", "tm-desubstitution",
+        "tm-prefix-covering", "tm-desubstitution",
     }
     assert set(CHECKS) == expected
 
@@ -77,17 +120,12 @@ def test_run_checks_validation(monkeypatch):
         run_checks(only="nope")
     with pytest.raises(ValueError, match="does not accept"):
         run_checks(only="pigeonhole", params={"bogus": 1})
-    # the morphism is part of an image-locality check, not a parameter of it
+    # the row of w1 and w2 is part of the check, not a parameter of it
     with pytest.raises(ValueError, match="no check accepts parameter 'morphism'"):
         run_checks(params={"morphism": "f2"})
-    with pytest.raises(ValueError, match="does not accept parameter 'morphism'"):
-        run_checks(only="image-locality-f1", params={"morphism": "f3"})
-    # h is a morphism, but no image-locality check is about it
-    with pytest.raises(ValueError, match="f1, f2, f3 or f4"):
-        verify.vf_image_locality("h")
-    [report] = run_checks(only="image-locality-f3", params={"max_len": "5"})
-    assert (report.check_id, report.parameters) == ("image-locality-f3",
-                                                    {"morphism": "f3", "max_len": 5})
+    for key in ("morphism", "check_id"):
+        with pytest.raises(ValueError, match=f"does not accept parameter '{key}'"):
+            run_checks(only="w1", params={key: "w2"})
     # across the registry too, a parameter no check accepts is an error
     monkeypatch.setattr(verify, "CHECKS", {"pigeonhole": CHECKS["pigeonhole"]})
     with pytest.raises(ValueError, match="'kk'"):
@@ -106,7 +144,7 @@ def test_run_checks_validation(monkeypatch):
 @pytest.mark.parametrize("check_id, key, value, minimum", [
     ("tm-desubstitution", "prefix_len", "0", 1),
     ("tm-prefix-covering", "max_exp", "-1", 0),
-    ("image-locality-f1", "max_len", "0", 1),
+    ("classifier-oracle", "max_len", "0", 1),
     ("alternating", "max_len", "1", 2),  # range(2, 2): no pattern checked
 ])
 def test_run_checks_rejects_a_parameter_below_its_bound(check_id, key, value, minimum):
@@ -136,10 +174,9 @@ def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
     ({"witness_len": 20.5}, "'witness_len' expects an integer, got 20.5"),
     ({"k": True}, "'k' expects an integer, got True"),
     ({"max_len": 3.0}, "'max_len' expects an integer, got 3.0"),
-    # a key several checks accept would set them all: max_len=5 cuts f1 from 1,230 factors to 43
+    # a key several checks accept would set them all
     ({"max_len": 5}, r"'max_len' is accepted by several selected checks \(alternating, "
-                     "classifier-oracle, image-locality-f1, image-locality-f2, "
-                     r"image-locality-f3, image-locality-f4\)"),
+                     r"classifier-oracle\)"),
     ({"n": 400}, r"'n' is accepted by several selected checks \(square-limited, g-avoidance, "
                  r"square-limited-xyxyX\)"),
 ], ids=["k=4", "max_len=6", "max_exp=13", "big_len=100", "completion_factor_bound=64",
@@ -242,7 +279,10 @@ def test_square_limited_check_passes_and_negative_controls():
 
 def test_mod3_and_w2_negative_controls():
     assert mod3_step_violation("0012") is None
-    assert mod3_step_violation("021") == "21"
+    # the leftmost step wins, whichever of 10, 21 and 02 it is
+    assert mod3_step_violation("021") == "02"
+    assert mod3_step_violation("0210") == "02"
+    assert mod3_step_violation("1210") == "21"
     # a hand-built instance of xyXYx is found by the matcher
     from revpat.matcher import apply_morphism
     w = apply_morphism("xyXYx", x="01", y="0")
@@ -264,9 +304,6 @@ def test_quick_checks_pass():
         ("pigeonhole", {"k": 1}),
         ("pigeonhole", {"k": 2}),
         ("alternating", {"max_len": 3}),
-        ("image-locality-f1", {}),
-        ("image-locality-f3", {}),
-        ("image-locality-f4", {}),
         ("tm-prefix-covering", {}),
     ]:
         report = run_checks(only=cid, params=params)[0]
@@ -517,15 +554,18 @@ FAILING_CLAUSES = [
     ("square-limited-xyxyX", {"n": 100}, {"square_limited_prefix": lambda n: "1010"},
      {"factor": "1010"}, "1010"),
     ("w1", {}, {"bound_factor_length": lambda u, m: 7},
-     {"derived": [7, 7, 56, 56]}, "derived"),
+     {"derived": [56, 56, 336]}, "derived"),
     ("w1", {}, {"reversible_factors": lambda w, n: {"1101101", "1011011"}},
      {"reversible_factor": "1011011"}, "reversible"),
     ("w1", {}, {"_bounded_hit": _hit_only("xyxYX")},
      {"pattern": "xyxYX", "start": 0}, "instances"),
     ("w2", {}, {"bound_factor_length": lambda u, m: 2},
-     {"derived_prefix": 7}, "derived"),
+     {"derived": [7, 7, 28]}, "derived"),
     ("w2", {}, {"tm_image": lambda m, n: (thue_morse_prefix(n), "0" * 503, [])},
-     {"image_length": 503}, "image-length"),
+     {"derived": [56, 112, 503]}, "image-length"),
+    # a morphism with the lengths of f2 whose image holds 1000000 and 0000001
+    ("w2", {}, {"W1_W2": {"w2": (("0", "10000001"), *verify.W1_W2["w2"][1:])}},
+     {"reversible_factor": "0000001"}, "reversible"),
     ("w2", {}, {"_bounded_hit": _hit_only("xyXYx")},
      {"pattern": "xyXYx", "start": 0}, "instances"),
     ("w3", _W3, {**_NO_CONTEXTS, "UPSILON": UPSILON - {"100001"}},
@@ -542,6 +582,8 @@ FAILING_CLAUSES = [
     ("w3", _W3, {**_NO_CONTEXTS, "left_completions":
                  lambda u, m: [] if u == "011" else left_completions(u, m)},
      {"clauses": ["completions"], "details": {"completions": {"011": []}}}, "completions"),
+    ("w3-contexts-repaired", {}, {"reversible_factors": lambda w, n: {"1101101", "1011011"}},
+     {"reversible_factor": "1011011"}, "reversible"),
     ("w3-contexts-repaired", {}, {"_context_sets": lambda w, y: ({"000"}, {"001"})},
      {"y": "01", "left": ["000"], "right": ["001"]}, "contexts"),
     ("w3-contexts-repaired", {}, {"_bounded_hit": _hit_only("xyxYx")},
@@ -586,14 +628,6 @@ FAILING_CLAUSES = [
      {"pattern": "xxx", "matcher_prefix": 100}, "matcher"),
     ("classical-seeds", _SEEDS, {"square_limited_prefix": lambda n: "1010"},
      {"square_limited": {"factor": "1010"}}, "square-limited"),
-    ("image-locality-f1", {"max_len": 3}, {"factor_set": lambda w, n: {"2"}},
-     {"factor": "2", "bound": 5}, "factor"),
-    ("image-locality-f2", {"max_len": 3}, {"factor_set": lambda w, n: {"2"}},
-     {"factor": "2", "bound": 4}, "factor"),
-    ("image-locality-f3", {"max_len": 3}, {"factor_set": lambda w, n: {"2"}},
-     {"factor": "2", "bound": 4}, "factor"),
-    ("image-locality-f4", {"max_len": 3}, {"factor_set": lambda w, n: {"2"}},
-     {"factor": "2", "bound": 5}, "factor"),
     # a covering rule one letter block short misses 00, which first ends at letter 7
     ("tm-prefix-covering", {}, {"covering_prefix_length":
                                 lambda factor_len: covering_prefix_length(factor_len) // 7 * 6},
@@ -637,7 +671,6 @@ def test_every_check_has_a_failing_clause_under_test():
 FAILING_COUNTS = {
     "pigeonhole:xyX": {"words_checked": 1},
     "alternating:construction": {"patterns_checked": 1, "image_bounds": [2, 2]},
-    "image-locality-f1:factor": {"image_prefix": 28, "factors_checked": 1},
     "classifier-oracle:refuted-witness": {"patterns_checked": 5, "classes_searched": 2,
                                           "prove_nodes": 91, "witness_factors": {"xx": "xx"}},
     "tm-desubstitution:image": {"host_prefix": 64},

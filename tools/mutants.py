@@ -1,8 +1,9 @@
 """Mutation check for the slot kernel's pruning rules, the square walk it
 shares with the square-limited generator, the bound on the left-completion
 search, the prover's end check and dead-suffix table, the oracle's class
-verdict, the registry's Thue-Morse clauses and sampled caps, the table of
-pattern symmetries and the pattern graph's loop-or-triangle test.
+verdict, the registry's Thue-Morse clauses, derived windows, reversal bound
+and sampled caps, the table of pattern symmetries and the pattern graph's
+loop-or-triangle test.
 
     python3 tools/mutants.py
 
@@ -23,8 +24,8 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-42 rows took 4.6 minutes on a 2-core x86-64 machine with Python 3.11, and
-the unmutated run about 14 s.  Every row fails a test: row 3, whose broken
+48 rows took 5.0 minutes on a 2-core x86-64 machine with Python 3.11, and
+the unmutated run about 15 s.  Every row fails a test: row 3, whose broken
 jump loops, fails the first kernel test in ``tests/test_matcher.py``, whose
 word gives up after 100 calls to ``find``, well before the timeout.
 """
@@ -151,6 +152,25 @@ MUTANTS = [
      "g-avoidance searches |X|, |Y| <= 3 only"),
     (V, "cap = min(n // 5, SQUARE_LIMITED_CAP)", "cap = min(n // 5, 2)",
      "square-limited-xyxyX searches |X|, |Y| <= 2 only"),
+    # the derived window arithmetic of the morphic-image checks
+    (V, "2 * (u_len + 3 * image1_len - 3)", "2 * (u_len + 3 * image1_len - 4)",
+     "factor-length bound with - 4 for - 3: every derived window shifts"),
+    (S, "return 7 << max(", "return 6 << max(",
+     "covering prefixes of 6 * 2**e letters: t[:6] misses the factor 00"),
+    (V, "return a * max_x + b * max_y", "return a * max_x + b * max_y - 1",
+     "instance length one short: the longest capped instance can fall outside the window"),
+    # the reversal bound and the caps read off it
+    (V, "min(reversible_factors(w, length), default=None)",
+     "min(reversible_factors(w, length + 1), default=None)",
+     "reversal bound reads length L + 1: a reversible factor of length L goes unseen"),
+    (V, "        if reversible:\n            yield {\"reversible_factor\": reversible}\n"
+        "        if hit := _bounded_hit(img, p, cap, cap):",
+     "        if reversible and check_id == \"w1\":\n"
+     "            yield {\"reversible_factor\": reversible}\n"
+     "        if hit := _bounded_hit(img, p, cap, cap):",
+     "w2's reversal clause dropped: its caps rest on a premise no clause checks"),
+    (V, "    cap = length - 1\n", "    cap = length\n",
+     "w1 and w2 capped at L: a reversible factor of length L is not excluded"),
     # the symmetry table and the pattern graph's closed form
     (P, ', "YyXx"', "",
      "one renaming missing from the table: classes lose the images it gives"),
