@@ -177,9 +177,10 @@ def reversible_factors(w: str, length: int) -> set[str]:
 
 
 def bispecial_factors(w: str, max_len: int) -> set[str]:
-    """Non-empty factors y with 0y, 1y, y0 and y1 all factors of w."""
+    """Non-empty factors y with 0y, 1y, y0 and y1 all factors of w, up to
+    max_len letters; 0y is a factor, so no y is longer than len(w) - 1."""
     out = set()
-    for length in range(1, max_len + 1):
+    for length in range(1, min(max_len, len(w) - 1) + 1):
         for y in factor_set(w, length):
             if "0" + y in w and "1" + y in w and y + "0" in w and y + "1" in w:
                 out.add(y)

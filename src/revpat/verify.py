@@ -12,23 +12,27 @@ which takes the first and stops there: a failing report's ``searched_bound``
 holds the counts reached at that clause.  ``w3`` evaluates all its clauses
 before it yields one counterexample that names each clause that fails.
 
-Prefix lengths for the w1..w4 checks are derived at run time from
-``bound_factor_length`` and the Thue-Morse covering arithmetic rather than
-hardcoded; where a specific derived value is load-bearing a different value
-fails the report with a counterexample naming what was derived.  A variable
-that a pattern uses in both orientations is capped by one clause,
-``_reversal_bound``.  The covering arithmetic and ``tm-desubstitution`` rest on
-one clause, ``_fixed_point_break``: t[:n] is h(t[:ceil(n/2)]) cut to n letters.
+The morphic-image checks ``w1``, ``w2``, ``w3-contexts-repaired`` and ``w4``
+are one function, ``vf_morphic``, over the rows of ``MORPHIC``.  Their window
+lengths are derived at run time from ``bound_factor_length`` and the
+Thue-Morse covering arithmetic, and pinned per row: a different derived value
+fails the report.  A variable whose lowercase and uppercase slots both occur
+in the pattern is capped at L - 1 by one clause, ``_reversal_bound`` at the
+row's length L; the pattern text says which.  Each failing clause reports
+``{"clause": name, ...}``.  The covering arithmetic and ``tm-desubstitution``
+rest on one clause, ``_fixed_point_break``: t[:n] is h(t[:ceil(n/2)]) cut to
+n letters.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import product
 from math import inf
+from typing import NamedTuple
 
 from .engine import (
     Avoidability,
@@ -251,45 +255,6 @@ def vf_square_limited_xyxyX(n: int = 400) -> VerificationReport:
 
 # --- the four morphic images ------------------------------------------------------
 
-# check id -> (morphism, pattern, the derived lengths it pins: the Thue-Morse
-# prefixes of the reversal and instance windows and the latter's image; claim)
-W1_W2 = {
-    "w1": (F1, "xyxYX", [56, 112, 672],
-           "f1(t) has no length-7 factor z with z reversed also a factor, and no "
-           "instance of xyxYX with |X|,|Y| <= 6; hence w1 avoids xyxYX"),
-    "w2": (F2, "xyXYx", [56, 112, 504],
-           "f2(t) restricted to the covering prefix (length 504) has no instance "
-           "of xyXYx with |X|,|Y| <= 6; hence w2 avoids xyXYx"),
-}
-
-
-def vf_w1_w2(check_id: str) -> VerificationReport:
-    """w1 = f1(t) avoids xyxYX, and w2 = f2(t) avoids xyXYx: both patterns use x
-    and y both ways, so the reversal bound at length 7 caps |X| and |Y| at 6,
-    and a bounded search finishes.  ``check_id`` names the row of ``W1_W2``."""
-    m, p, pinned, claim = W1_W2[check_id]
-    length = 7
-    cap = length - 1
-    reversible, rev_prefix = _reversal_bound(m, length)
-    inst_len = _instance_length(p, cap, cap)
-    tau, img, _ = _image_window(m, inst_len)
-    derived = [rev_prefix, len(tau), len(img)]
-
-    def failures():
-        if derived != pinned:
-            yield {"derived": derived}
-        if reversible:
-            yield {"reversible_factor": reversible}
-        if hit := _bounded_hit(img, p, cap, cap):
-            yield hit
-
-    return _verdict(
-        check_id, claim, {"reversible_length": length, "max_x": cap, "max_y": cap},
-        failures(), {"tm_prefix_reversible": rev_prefix, "tm_prefix_instances": len(tau),
-                     "tm_prefix": len(tau), "image_length": len(img), "factor_bounds":
-                     [bound_factor_length(n, len(m[1])) for n in (length, inst_len)]})
-
-
 def _context_sets(w: str, y: str) -> tuple[set[str], set[str]]:
     """Length-3 words usable on the given side of both y and its reversal."""
     yr = y[::-1]
@@ -309,7 +274,7 @@ def vf_w3(completion_len: int = 24) -> VerificationReport:
     does contain, e.g., 011000, 110000, 000101 and 000010 (junction factors
     around image blocks), so both sets are non-empty for y = 000.  The
     repaired decomposition that the avoidance theorem actually needs is
-    checked by vf_w3_contexts_repaired.
+    checked by the ``w3-contexts-repaired`` row of ``MORPHIC``.
     """
     windows = {
         "reversible": _image_window(F3, 6),
@@ -363,41 +328,18 @@ def vf_w3(completion_len: int = 24) -> VerificationReport:
                      "image_length": len(w), "clause_results": clauses})
 
 
-def vf_w3_contexts_repaired() -> VerificationReport:
-    """Replacement for the degenerate context-set clause of vf_w3.
-
-    Non-palindromic table entries really are excluded by the two-sided
-    context sets; the palindromic ones (for which that argument cannot work)
-    are excluded directly by widening the bounded instance search to every
-    table length, |X| <= 8 and |Y| <= 6.  Together with the unique-left-
-    completion machinery for |X| >= 9 this is what the avoidance proof
-    consumes.
-    """
-    length, max_x = 7, 8  # y occurs both ways, so |Y| < 7 by the reversal bound; x one way
-    max_y = length - 1
-    reversible, rev_prefix = _reversal_bound(F3, length)
-    tau, w, _ = _image_window(F3, _instance_length("xyxYx", max_x, max_y))
-
-    def failures():
-        if reversible:
-            yield {"reversible_factor": reversible}
-        for y in CONTEXT_TABLE:
-            if y == y[::-1]:
-                continue
-            left, right = _context_sets(w, y)
-            if left and right:
-                yield {"y": y, "left": sorted(left), "right": sorted(right)}
-        if hit := _bounded_hit(w, "xyxYx", max_x, max_y):
-            yield hit
-
-    return _verdict(
-        "w3-contexts-repaired",
-        "non-palindromic reversible factors of w3 outside {0,1,00} fail one of "
-        "the two-sided context sets, and no instance of xyxYx with |X| <= 8 and "
-        "|Y| <= 6 occurs at all",
-        {"max_x": max_x, "max_y": max_y, "reversible_length": length},
-        failures(), {"tm_prefix": len(tau), "image_length": len(w),
-                     "tm_prefix_reversible": rev_prefix})
+def _w3_contexts(tau: str, w: str, at: list[int]) -> Iterator[dict]:
+    """Non-palindromic table entries are excluded by the two-sided context
+    sets; the palindromic ones, for which that argument cannot work, by the
+    bounded instance search at every table length.  Together with the
+    unique-left-completion machinery for |X| >= 9 this is what the avoidance
+    proof consumes."""
+    for y in CONTEXT_TABLE:
+        if y == y[::-1]:
+            continue
+        left, right = _context_sets(w, y)
+        if left and right:
+            yield {"clause": "contexts", "y": y, "left": sorted(left), "right": sorted(right)}
 
 
 def internal_factors(w: str, min_len: int) -> set[str]:
@@ -405,64 +347,118 @@ def internal_factors(w: str, min_len: int) -> set[str]:
     return {w[i:j] for i in range(1, len(w)) for j in range(i + min_len, len(w))}
 
 
-def vf_w4() -> VerificationReport:
-    """The finite searches behind: w4 = f4(t) avoids xyXyx."""
-    length, max_y = 21, 5  # x occurs both ways, so |X| < 21 by the reversal bound; y one way
-    max_x = length - 1
-    reversible, rev_prefix = _reversal_bound(F4, length)
-    windows = [_image_window(F4, n) for n in (_instance_length("xyXyx", max_x, max_y), 26)]
-    inst_prefix, bis_prefix = (len(tau) for tau, _, _ in windows)
-    tau, w, at = max(windows, key=lambda window: len(window[0]))
+# Lengths of the bispecial factors of w4 that must be image words.
+BISPECIAL_RANGE = (6, 24)
 
-    def failures():
-        if not (rev_prefix == 56 and inst_prefix == 112 and len(w) == 616):
-            yield {"derived": [rev_prefix, inst_prefix, len(w)]}
 
-        # (a) the reversal bound: no length-21 factor is reversible
-        if reversible:
-            yield {"clause": "reversible", "factor": reversible}
+def _w4_blocks(tau: str, w: str, at: list[int]) -> Iterator[dict]:
+    """Where 011, the long internal factors of f4(1) and the long bispecial
+    factors of w4 sit among the image blocks."""
+    # every 011 ends an image block of 1
+    one_ends = {at[i + 1] for i, c in enumerate(tau) if c == "1"}
+    i = w.find("011")
+    while i != -1:
+        if i + 3 not in one_ends:
+            yield {"clause": "alignment", "position": i}
+        i = w.find("011", i + 1)
 
-        # (b) no bounded instance of xyXyx in the covering image
-        if hit := _bounded_hit(w, "xyXyx", max_x, max_y):
-            yield {"clause": "instances", **hit}
-
-        # (c) every 011 ends an image block of 1
-        one_ends = {at[i + 1] for i, c in enumerate(tau) if c == "1"}
-        i = w.find("011")
+    # the long internal factors of f4(1) are the six known words and occur
+    # only inside image blocks of 1
+    expected = {"000010", "000100", "001001", "0000100", "0001001", "00001001"}
+    if (got := internal_factors(F4[1], 6)) != expected:
+        yield {"clause": "internal", "got": sorted(got)}
+    one_spans = [(at[i], at[i + 1]) for i, c in enumerate(tau) if c == "1"]
+    for u in sorted(expected):
+        i = w.find(u)
         while i != -1:
-            if i + 3 not in one_ends:
-                yield {"clause": "alignment", "position": i}
-            i = w.find("011", i + 1)
+            if not any(s <= i and i + len(u) <= e for s, e in one_spans):
+                yield {"clause": "internal-placement", "factor": u, "position": i}
+            i = w.find(u, i + 1)
 
-        # (d) the long internal factors of f4(1) are the six known words and
-        # occur only inside image blocks of 1
-        expected = {"000010", "000100", "001001", "0000100", "0001001", "00001001"}
-        if (got := internal_factors(F4[1], 6)) != expected:
-            yield {"clause": "internal", "got": sorted(got)}
-        one_spans = [(at[i], at[i + 1]) for i, c in enumerate(tau) if c == "1"]
-        for u in sorted(expected):
-            i = w.find(u)
-            while i != -1:
-                if not any(s <= i and i + len(u) <= e for s, e in one_spans):
-                    yield {"clause": "internal-placement", "factor": u, "position": i}
-                i = w.find(u, i + 1)
+    # bispecial factors in the range are image words
+    least, greatest = BISPECIAL_RANGE
+    images = tm_factor_images(F4, greatest)
+    for y in sorted(bispecial_factors(w, greatest)):
+        if len(y) >= least and y not in images:
+            yield {"clause": "bispecial", "factor": y}
 
-        # (e) bispecial factors of length 6..24 are image words
-        images = tm_factor_images(F4, 24)
-        for y in sorted(bispecial_factors(w, 24)):
-            if len(y) >= 6 and y not in images:
-                yield {"clause": "bispecial", "factor": y}
 
-    return _verdict(
-        "w4",
+class Morphic(NamedTuple):
+    """A row of ``MORPHIC``: the image m(t) of Thue-Morse avoids the pattern."""
+
+    morphism: tuple[str, str]
+    pattern: str
+    reversible_length: int  # L: m(t) has no reversible factor of length L
+    one_way_cap: int | None  # the cap of a variable the pattern uses one way only
+    pinned: list[int]  # derived [reversal prefix, instance prefix, image length]
+    claim: str
+    clauses: Callable[[str, str, list[int]], Iterator[dict]] | None = None  # (tau, image, offsets)
+    windows: dict[str, int] = {}  # factor length of each further window, by clause
+    parameters: dict[str, object] = {}
+
+
+MORPHIC = {
+    "w1": Morphic(F1, "xyxYX", 7, None, [56, 112, 672],
+                  "f1(t) has no length-7 factor z with z reversed also a factor, and no "
+                  "instance of xyxYX with |X|,|Y| <= 6; hence w1 avoids xyxYX"),
+    "w2": Morphic(F2, "xyXYx", 7, None, [56, 112, 504],
+                  "f2(t) restricted to the covering prefix (length 504) has no instance "
+                  "of xyXYx with |X|,|Y| <= 6; hence w2 avoids xyXYx"),
+    "w3-contexts-repaired": Morphic(
+        F3, "xyxYx", 7, 8, [56, 112, 392],
+        "non-palindromic reversible factors of w3 outside {0,1,00} fail one of "
+        "the two-sided context sets, and no instance of xyxYx with |X| <= 8 and "
+        "|Y| <= 6 occurs at all", _w3_contexts),
+    # a bispecial y of length up to 24 shows as its extensions ayb, 26 letters long
+    "w4": Morphic(
+        F4, "xyXyx", 21, 5, [56, 112, 616],
         "f4(t): no reversible length-21 factor, no instance of xyXyx with "
         "|X|<=20,|Y|<=5 in the covering image, 011 occurs only as an image-block "
         "suffix, the six long internal factors of f4(1) stay inside blocks, and "
-        "long bispecial factors are image words",
-        {"max_x": max_x, "max_y": max_y, "bispecial_range": [6, 24], "reversible_length": length},
-        failures(), {"tm_prefix": len(tau),
-                     "per_clause": {"reversible": rev_prefix, "instances": inst_prefix,
-                                    "bispecial": bis_prefix}})
+        "long bispecial factors are image words", _w4_blocks,
+        {"bispecial": BISPECIAL_RANGE[1] + 2}, {"bispecial_range": list(BISPECIAL_RANGE)}),
+}
+
+
+def vf_morphic(check_id: str) -> VerificationReport:
+    """The finite searches behind: the image of ``MORPHIC[check_id]`` avoids
+    its pattern.
+
+    A variable whose lowercase and uppercase slots both occur in the pattern
+    is capped at L - 1 by the reversal clause, L the row's reversible length;
+    a variable used one way takes the row's one-way cap.  The derived-lengths
+    clause, the reversal clause and the bounded instance search run first,
+    then the row's own clauses; all but the reversal clause read the largest
+    window the row needs.  A failing clause reports {"clause": name, ...}.
+    """
+    row = MORPHIC[check_id]
+    m, p, length = row.morphism, row.pattern, row.reversible_length
+    max_x, max_y = (length - 1 if v in p and v.upper() in p else row.one_way_cap for v in "xy")
+    reversible, rev_prefix = _reversal_bound(m, length)
+    factor_lengths = {"instances": _instance_length(p, max_x, max_y), **row.windows}
+    windows = {name: _image_window(m, n) for name, n in factor_lengths.items()}
+    tau, w, at = max(windows.values(), key=lambda window: len(window[0]))
+    derived = [rev_prefix, len(windows["instances"][0]), len(w)]
+
+    def failures():
+        if derived != row.pinned:
+            yield {"clause": "derived", "lengths": derived}
+        if reversible:
+            yield {"clause": "reversible", "factor": reversible}
+        if hit := _bounded_hit(w, p, max_x, max_y):
+            yield {"clause": "instances", **hit}
+        if row.clauses:
+            yield from row.clauses(tau, w, at)
+
+    return _verdict(
+        check_id, row.claim,
+        {"reversible_length": length, "max_x": max_x, "max_y": max_y, **row.parameters},
+        failures(), {"tm_prefix": len(tau), "image_length": len(w),
+                     "tm_prefix_reversible": rev_prefix, "tm_prefix_instances": derived[1],
+                     "per_clause": {"reversible": rev_prefix} | {
+                         name: len(t) for name, (t, _, _) in windows.items()},
+                     "factor_bounds": [bound_factor_length(n, len(m[1]))
+                                       for n in (length, *factor_lengths.values())]})
 
 
 # --- unavoidability, the alternating word, and the classifier oracle --------------
@@ -685,17 +681,17 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
 # check id -> (check, range (least, greatest) of each integer parameter).  A value
 # outside its range would leave the check nothing to search, or a search it does not
 # define or cannot afford: run_checks rejects it before any check runs.  What names the
-# check, such as the W1_W2 row of w1 and w2, is bound into the callable, so no
+# check, such as the MORPHIC row of w1..w4, is bound into the callable, so no
 # parameter can make one id run another check.
 CHECKS: dict[str, tuple] = {
-    "square-limited": (vf_square_limited, {"n": (1, inf)}),
+    "square-limited": (vf_square_limited, {"n": (7, inf)}),
     "g-avoidance": (vf_g_avoidance, {"n": (4, inf)}),
     "square-limited-xyxyX": (vf_square_limited_xyxyX, {"n": (5, inf)}),
-    "w1": (partial(vf_w1_w2, "w1"), {}),
-    "w2": (partial(vf_w1_w2, "w2"), {}),
+    "w1": (partial(vf_morphic, "w1"), {}),
+    "w2": (partial(vf_morphic, "w2"), {}),
     "w3": (vf_w3, {"completion_len": (2, inf)}),
-    "w3-contexts-repaired": (vf_w3_contexts_repaired, {}),
-    "w4": (vf_w4, {}),
+    "w3-contexts-repaired": (partial(vf_morphic, "w3-contexts-repaired"), {}),
+    "w4": (partial(vf_morphic, "w4"), {}),
     "pigeonhole": (vf_pigeonhole, {"k": (1, 3)}),
     "alternating": (vf_alternating_theorem, {"max_len": (2, inf)}),
     "classifier-oracle": (vf_classifier_oracle, {

@@ -187,6 +187,15 @@ def test_verify_params_take_their_parameter_type(capsys):
     assert "position 1" in capsys.readouterr().err
 
 
+def test_verify_square_limited_needs_the_prefix_holding_its_three_squares(capsys):
+    # 0001011, the word's first 7 letters, is its shortest prefix holding 00, 11 and 0101
+    assert run(["--json", "verify", "--only", "square-limited", "--params", "n=7"]) == 0
+    [report] = json.loads(_out(capsys))
+    assert report["passed"] and report["searched_bound"] == {"prefix_length": 7}
+    assert run(["verify", "--only", "square-limited", "--params", "n=6"]) == 2
+    assert "'n' >= 7, got 6" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("param, only, sharing", [
     ("max_len=5", "alternating", "alternating, classifier-oracle"),
     ("n=400", "g-avoidance", "square-limited, g-avoidance, square-limited-xyxyX"),

@@ -207,6 +207,12 @@ def test_bispecial_examples():
     assert bispecial_factors(thue_morse_prefix(16), 1) == {"0", "1"}
     assert bispecial_factors("0101", 2) == set()
     assert bispecial_factors("0110100110010110", 0) == set()
+    # a max_len beyond the word reads every length a bispecial factor can have
+    assert bispecial_factors("0110", 6) == {"1"}
+    assert bispecial_factors("", 1) == set()
+    t = thue_morse_prefix(16)
+    assert bispecial_factors(t, 40) == bispecial_factors(t, 15) == {
+        "0", "1", "01", "10", "010", "101", "0110", "1001"}
 
 
 def test_left_completion_examples():

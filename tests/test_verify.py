@@ -43,11 +43,11 @@ from revpat.verify import (
     run_checks,
     vf_alternating_theorem,
     vf_classifier_oracle,
+    vf_morphic,
     vf_pigeonhole,
     vf_square_limited,
     vf_tm_desubstitution,
     vf_w3,
-    vf_w3_contexts_repaired,
 )
 
 
@@ -463,7 +463,7 @@ def test_sampled_caps_keep_their_defaults():
 
 
 def test_w3_repaired_contexts_pass():
-    assert vf_w3_contexts_repaired().passed
+    assert vf_morphic("w3-contexts-repaired").passed
 
 
 def test_classical_seeds_check():
@@ -554,20 +554,20 @@ FAILING_CLAUSES = [
     ("square-limited-xyxyX", {"n": 100}, {"square_limited_prefix": lambda n: "1010"},
      {"factor": "1010"}, "1010"),
     ("w1", {}, {"bound_factor_length": lambda u, m: 7},
-     {"derived": [56, 56, 336]}, "derived"),
+     {"clause": "derived", "lengths": [56, 56, 336]}, "derived"),
     ("w1", {}, {"reversible_factors": lambda w, n: {"1101101", "1011011"}},
-     {"reversible_factor": "1011011"}, "reversible"),
+     {"clause": "reversible", "factor": "1011011"}, "reversible"),
     ("w1", {}, {"_bounded_hit": _hit_only("xyxYX")},
-     {"pattern": "xyxYX", "start": 0}, "instances"),
+     {"clause": "instances", "pattern": "xyxYX", "start": 0}, "instances"),
     ("w2", {}, {"bound_factor_length": lambda u, m: 2},
-     {"derived": [7, 7, 28]}, "derived"),
+     {"clause": "derived", "lengths": [7, 7, 28]}, "derived"),
     ("w2", {}, {"tm_image": lambda m, n: (thue_morse_prefix(n), "0" * 503, [])},
-     {"derived": [56, 112, 503]}, "image-length"),
+     {"clause": "derived", "lengths": [56, 112, 503]}, "image-length"),
     # a morphism with the lengths of f2 whose image holds 1000000 and 0000001
-    ("w2", {}, {"W1_W2": {"w2": (("0", "10000001"), *verify.W1_W2["w2"][1:])}},
-     {"reversible_factor": "0000001"}, "reversible"),
+    ("w2", {}, {"MORPHIC": {"w2": verify.MORPHIC["w2"]._replace(morphism=("0", "10000001"))}},
+     {"clause": "reversible", "factor": "0000001"}, "reversible"),
     ("w2", {}, {"_bounded_hit": _hit_only("xyXYx")},
-     {"pattern": "xyXYx", "start": 0}, "instances"),
+     {"clause": "instances", "pattern": "xyXYx", "start": 0}, "instances"),
     ("w3", _W3, {**_NO_CONTEXTS, "UPSILON": UPSILON - {"100001"}},
      {"clauses": ["reversible"], "details": {"reversible": ["100001"]}}, "reversible"),
     ("w3", _W3, {"_context_sets":
@@ -582,14 +582,16 @@ FAILING_CLAUSES = [
     ("w3", _W3, {**_NO_CONTEXTS, "left_completions":
                  lambda u, m: [] if u == "011" else left_completions(u, m)},
      {"clauses": ["completions"], "details": {"completions": {"011": []}}}, "completions"),
+    ("w3-contexts-repaired", {}, {"bound_factor_length": lambda u, m: 2},
+     {"clause": "derived", "lengths": [7, 7, 22]}, "derived"),
     ("w3-contexts-repaired", {}, {"reversible_factors": lambda w, n: {"1101101", "1011011"}},
-     {"reversible_factor": "1011011"}, "reversible"),
+     {"clause": "reversible", "factor": "1011011"}, "reversible"),
     ("w3-contexts-repaired", {}, {"_context_sets": lambda w, y: ({"000"}, {"001"})},
-     {"y": "01", "left": ["000"], "right": ["001"]}, "contexts"),
+     {"clause": "contexts", "y": "01", "left": ["000"], "right": ["001"]}, "contexts"),
     ("w3-contexts-repaired", {}, {"_bounded_hit": _hit_only("xyxYx")},
-     {"pattern": "xyxYx", "start": 0}, "instances"),
+     {"clause": "instances", "pattern": "xyxYx", "start": 0}, "instances"),
     ("w4", {}, {"bound_factor_length": lambda u, m: 2},
-     {"derived": [7, 7, 34]}, "derived"),
+     {"clause": "derived", "lengths": [7, 7, 34]}, "derived"),
     ("w4", {}, {"reversible_factors": lambda w, n: {"1" * 21}},
      {"clause": "reversible", "factor": "1" * 21}, "reversible"),
     ("w4", {}, {"_bounded_hit": _hit_only("xyXyx")},

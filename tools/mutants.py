@@ -1,19 +1,21 @@
 """Mutation check for the slot kernel's pruning rules, the square walk it
 shares with the square-limited generator, the bound on the left-completion
 search, the prover's end check and dead-suffix table, the oracle's class
-verdict, the registry's Thue-Morse clauses, derived windows, reversal bound
-and sampled caps, the table of pattern symmetries and the pattern graph's
-loop-or-triangle test.
+verdict, the registry's Thue-Morse clauses, derived windows, reversal bound,
+table of morphic images and sampled caps, the table of pattern symmetries
+and the pattern graph's loop-or-triangle test.
 
     python3 tools/mutants.py
 
 Each row of ``MUTANTS`` names a file under ``src/``, an exact piece of its
 text, the text that replaces it, and why the result is wrong.  For each
-row the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
-temporary directory, applies that one replacement, and runs
+row the script copies ``src/``, ``tests/``, ``perfbench/`` (whose pins
+``tests/test_pins.py`` reads) and ``pyproject.toml`` into a temporary
+directory, applies that one replacement, and runs
 
     python3 -m pytest -x -q tests/test_matcher.py tests/test_engine.py \
-        tests/test_sequences.py tests/test_verify.py tests/test_patterns.py
+        tests/test_sequences.py tests/test_verify.py tests/test_patterns.py \
+        tests/test_pins.py
 
 there.  A mutant is *killed* when a test fails, or when the run outlasts
 ``TIMEOUT_FACTOR`` times the unmutated run (a broken jump can loop forever);
@@ -24,7 +26,7 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-48 rows took 5.0 minutes on a 2-core x86-64 machine with Python 3.11, and
+52 rows took 6.4 minutes on a 2-core x86-64 machine with Python 3.11, and
 the unmutated run about 15 s.  Every row fails a test: row 3, whose broken
 jump loops, fails the first kernel test in ``tests/test_matcher.py``, whose
 word gives up after 100 calls to ``find``, well before the timeout.
@@ -42,7 +44,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TESTS = ["tests/test_matcher.py", "tests/test_engine.py", "tests/test_sequences.py",
-         "tests/test_verify.py", "tests/test_patterns.py"]
+         "tests/test_verify.py", "tests/test_patterns.py", "tests/test_pins.py"]
 TIMEOUT_FACTOR = 3
 
 M = "revpat/matcher.py"
@@ -163,14 +165,23 @@ MUTANTS = [
     (V, "min(reversible_factors(w, length), default=None)",
      "min(reversible_factors(w, length + 1), default=None)",
      "reversal bound reads length L + 1: a reversible factor of length L goes unseen"),
-    (V, "        if reversible:\n            yield {\"reversible_factor\": reversible}\n"
-        "        if hit := _bounded_hit(img, p, cap, cap):",
-     "        if reversible and check_id == \"w1\":\n"
-     "            yield {\"reversible_factor\": reversible}\n"
-     "        if hit := _bounded_hit(img, p, cap, cap):",
-     "w2's reversal clause dropped: its caps rest on a premise no clause checks"),
-    (V, "    cap = length - 1\n", "    cap = length\n",
-     "w1 and w2 capped at L: a reversible factor of length L is not excluded"),
+    (V, "        if reversible:\n", "        if reversible and check_id == \"w1\":\n",
+     "reversal clause kept for w1 alone: the other rows' caps rest on a premise no "
+     "clause checks"),
+    (V, "(length - 1 if v in p and v.upper() in p", "(length if v in p and v.upper() in p",
+     "both-orientation variables capped at L: a reversible factor of length L is not "
+     "excluded"),
+    # the table of morphic images: caps read off the pattern, pinned lengths, row windows
+    (V, "if v in p and v.upper() in p", "if v in p or v.upper() in p",
+     "a variable used one way read as used both ways: w3-contexts-repaired's |X| capped "
+     "at 6 for 8"),
+    (V, "if derived != row.pinned:", "if derived != row.pinned and row.one_way_cap is None:",
+     "derived lengths left unchecked on the rows with a one-way cap"),
+    (V, '{"instances": _instance_length(p, max_x, max_y), **row.windows}',
+     '{"instances": _instance_length(p, max_x, max_y)}',
+     "a row's further windows never read: w4's bispecial window goes unreported"),
+    (V, "            yield from row.clauses(tau, w, at)\n", "            pass\n",
+     "a row's own clauses never run"),
     # the symmetry table and the pattern graph's closed form
     (P, ', "YyXx"', "",
      "one renaming missing from the table: classes lose the images it gives"),
@@ -202,8 +213,8 @@ def run_tests(tree: str, timeout: float | None = None) -> tuple[str, str]:
 
 
 def copy_tree(dest: str) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
-    for name in ("src", "tests"):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "out")
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=ignore)
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
