@@ -184,10 +184,9 @@ def _verdict(check_id: str, claim: str, parameters: dict, failures: Iterator[dic
 
 # --- squares and the section-4 constructions --------------------------------------
 
-def vf_square_limited(n: int = 2000, word: str | None = None) -> VerificationReport:
+def vf_square_limited(n: int = 2000) -> VerificationReport:
     """Square inventory of the square-limited word: exactly 00, 11, 0101."""
-    injected = word is not None
-    w = word if injected else square_limited_prefix(n)
+    w = square_limited_prefix(n)
     squares = collect_squares(w)
 
     def failures():
@@ -200,8 +199,7 @@ def vf_square_limited(n: int = 2000, word: str | None = None) -> VerificationRep
         "square-limited",
         "every square factor of the square-limited word is one of 00, 11, 0101, "
         "all three occur, and 1010 never occurs",
-        {"n": n if not injected else len(w), "lookahead": DEFAULT_LOOKAHEAD,
-         "injected": injected},
+        {"n": n, "lookahead": DEFAULT_LOOKAHEAD, "injected": False},  # a pinned key
         failures(), {"prefix_length": len(w)})
 
 
@@ -678,11 +676,11 @@ def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
 
 # --- registry ---------------------------------------------------------------------
 
-# check id -> (check, range (least, greatest) of each integer parameter).  A value
-# outside its range would leave the check nothing to search, or a search it does not
-# define or cannot afford: run_checks rejects it before any check runs.  What names the
-# check, such as the MORPHIC row of w1..w4, is bound into the callable, so no
-# parameter can make one id run another check.
+# check id -> (check, range (least, greatest) of each of its parameters, all integers).
+# A value outside its range would leave the check nothing to search, or a search it does
+# not define or cannot afford: run_checks rejects it before any check runs.  What names
+# the check, such as the MORPHIC row of w1..w4 or the word square-limited reads, is not
+# a parameter, so no parameter can make one id run another check.
 CHECKS: dict[str, tuple] = {
     "square-limited": (vf_square_limited, {"n": (7, inf)}),
     "g-avoidance": (vf_g_avoidance, {"n": (4, inf)}),
@@ -719,39 +717,35 @@ def _integer(key: str, value: object) -> int:
 def run_checks(only: str | None = None, params: dict | None = None) -> list[VerificationReport]:
     """Run one named check or the whole registry, in registry order.
 
-    Each selected check receives just the parameters its signature accepts,
-    a string value for an integer parameter (as the CLI passes) converted by
-    ``int()``.  A parameter that no selected check accepts, a value for an
-    integer parameter that is neither an int (not a bool) nor a string
-    ``int()`` reads, a value outside the check's declared range for it, or a
-    parameter that several selected checks accept (it would set them all), is
-    an error, raised before any check runs.
+    Every parameter is an integer, and a check accepts exactly the keys whose
+    ranges ``CHECKS`` declares for it.  Each selected check receives the given
+    values of its keys, a string (as the CLI passes) converted by ``int()``.
+    A parameter that no selected check accepts, a value that is neither an int
+    (not a bool) nor a string ``int()`` reads, a value outside the check's
+    declared range for it, or a parameter that several selected checks accept
+    (it would set them all), is an error, raised before any check runs.
     A report that passed with every integer count in its ``searched_bound``
     at zero searched nothing, and raises RuntimeError.
     This is the one place a check is timed: each report's ``elapsed`` is set
     here, in seconds rounded to six digits.
     """
-    import inspect
-
     params = params or {}
     if only is not None and only not in CHECKS:
         raise ValueError(f"unknown check id {only!r}; expected one of {', '.join(CHECKS)}")
     selected = [only] if only is not None else list(CHECKS)
-    accepted = {cid: inspect.signature(CHECKS[cid][0]).parameters for cid in selected}
     for key in params:
-        if not any(key in names for names in accepted.values()):
+        if not any(key in CHECKS[cid][1] for cid in selected):
             scope = f"check {only!r} does not accept" if only is not None else "no check accepts"
             raise ValueError(f"{scope} parameter {key!r}")
     calls = {}
-    for cid, names in accepted.items():
+    for cid in selected:
         fn, ranges = CHECKS[cid]
-        kwargs = {k: _integer(k, v) if k in ranges else v for k, v in params.items() if k in names}
-        values = {k: q.default for k, q in names.items()} | kwargs
-        for key, (least, greatest) in ranges.items():
-            if not least <= values[key] <= greatest:
-                bound = f">= {least}" if values[key] < least else f"<= {greatest}"
-                raise ValueError(f"check {cid!r} needs parameter {key!r} {bound}, "
-                                 f"got {values[key]!r}")
+        kwargs = {k: _integer(k, v) for k, v in params.items() if k in ranges}
+        for key, value in kwargs.items():
+            least, greatest = ranges[key]
+            if not least <= value <= greatest:
+                bound = f">= {least}" if value < least else f"<= {greatest}"
+                raise ValueError(f"check {cid!r} needs parameter {key!r} {bound}, got {value!r}")
         calls[cid] = fn, kwargs
     for key in params:
         sharing = [cid for cid, (_, kwargs) in calls.items() if key in kwargs]

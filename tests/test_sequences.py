@@ -106,10 +106,26 @@ def test_square_limited_extension_never_revises_the_emitted_floor():
 
 
 def test_square_limited_extension_cannot_backtrack_past_the_first_letter(monkeypatch):
-    # a rule that forbids every word leaves no first letter to revise
+    # a rule that forbids every word leaves no first letter to revise; the floor,
+    # never below 0, stops the search before the word runs out
     monkeypatch.setattr(seq, "_ends_in_forbidden_square", lambda word: True)
-    with pytest.raises(RuntimeError, match="backtracked past position 0"):
+    with pytest.raises(RuntimeError, match="emitted prefix"):
         seq._extend_square_limited(bytearray(), 3, 0)
+
+
+@pytest.mark.parametrize("depth, reached", [(17, None), (16, 508)])
+def test_square_limited_lookahead_margin_is_measured(depth, reached):
+    # grown a letter at a time, the search revises no letter more than 17 places
+    # below the length it grows to, first that deep at 508 letters: the lookahead
+    # of 100 has a margin of 83
+    word = bytearray()
+    try:
+        for target in range(1, 4101):
+            seq._extend_square_limited(word, target, max(target - depth, 0))
+    except RuntimeError:
+        assert target == reached
+    else:
+        assert reached is None and word.decode() == square_limited_prefix(4100)
 
 
 def test_square_limited_prefix_4000_is_pinned(monkeypatch):
@@ -117,7 +133,6 @@ def test_square_limited_prefix_4000_is_pinned(monkeypatch):
     # scan this generator replaced; a generator that keeps the allowed
     # squares but does not emit the least word fails here
     monkeypatch.setattr(seq, "_sl_word", bytearray())
-    monkeypatch.setattr(seq, "_sl_emitted", 0)
     digest = hashlib.sha256(square_limited_prefix(4000).encode()).hexdigest()
     assert digest == "8ef18093a6695230966f1277687d7143099f75e97b99beb1a28e45c7cb650071"
 
@@ -130,15 +145,23 @@ def test_square_limited_square_inventory():
 
 
 def test_square_limited_prefix_stability_and_restart_equivalence(monkeypatch):
+    extend = seq._extend_square_limited
+    floors = []
+
+    def recorded(word, target, floor):
+        floors.append(floor)
+        extend(word, target, floor)
+
+    monkeypatch.setattr(seq, "_extend_square_limited", recorded)
     monkeypatch.setattr(seq, "_sl_word", bytearray())
-    monkeypatch.setattr(seq, "_sl_emitted", 0)
     first = square_limited_prefix(60)
     longer = square_limited_prefix(700)
     assert longer[:60] == first
-    assert seq._sl_emitted == 700
+    # the word's length alone says how much of it was handed out
+    assert floors == [0, 60]
     assert len(seq._sl_word) == 700 + seq.DEFAULT_LOOKAHEAD
+    assert square_limited_prefix(300) == longer[:300] and floors == [0, 60]
     monkeypatch.setattr(seq, "_sl_word", bytearray())
-    monkeypatch.setattr(seq, "_sl_emitted", 0)
     assert square_limited_prefix(700) == longer
 
 

@@ -1,5 +1,4 @@
 import ast
-import functools
 import inspect
 import json
 import operator
@@ -170,6 +169,8 @@ def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
     ({"max_exp": 13}, "'max_exp' <= 12, got 13"),
     ({"big_len": 100}, "no check accepts parameter 'big_len'"),
     ({"completion_factor_bound": 64}, "no check accepts parameter 'completion_factor_bound'"),
+    # the square-limited check reads its one word, never a given one
+    ({"word": "0011"}, "no check accepts parameter 'word'"),
     # an integer parameter takes an int that is not a bool, or a string int() reads
     ({"witness_len": 20.5}, "'witness_len' expects an integer, got 20.5"),
     ({"k": True}, "'k' expects an integer, got True"),
@@ -180,13 +181,12 @@ def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
     ({"n": 400}, r"'n' is accepted by several selected checks \(square-limited, g-avoidance, "
                  r"square-limited-xyxyX\)"),
 ], ids=["k=4", "max_len=6", "max_exp=13", "big_len=100", "completion_factor_bound=64",
-        "witness_len=20.5", "k=True", "max_len=3.0", "max_len=5", "n=400"])
+        "word=0011", "witness_len=20.5", "k=True", "max_len=3.0", "max_len=5", "n=400"])
 def test_run_checks_rejects_a_bad_value_before_any_check_runs(params, message, monkeypatch):
     called = []
 
     def spy(cid, fn):
-        @functools.wraps(fn)  # inspect.signature follows __wrapped__ to fn
-        def check(**kwargs):
+        def check(**kwargs):  # run_checks reads the accepted keys from the ranges
             called.append(cid)
             return fn(**kwargs)
         return check
@@ -202,8 +202,9 @@ def test_every_integer_parameter_has_a_lower_bound():
     for cid, entry in CHECKS.items():
         assert type(entry) is tuple and len(entry) == 2, cid  # (check, ranges)
         fn, ranges = entry
+        # run_checks range-checks only the values it is given, so the defaults' are here
         params = inspect.signature(fn).parameters
-        assert set(ranges) == {k for k, q in params.items() if isinstance(q.default, int)}, cid
+        assert set(ranges) == set(params), cid
         for key, (minimum, maximum) in ranges.items():
             assert type(minimum) is int, (cid, key)
             assert params[key].default >= minimum, (cid, key)
@@ -264,17 +265,17 @@ def test_bounded_hit_replays_in_the_word():
     assert _bounded_hit(thue_morse_prefix(64), "xxx", 5, 5) is None
 
 
-def test_square_limited_check_passes_and_negative_controls():
-    assert vf_square_limited(300).passed
-    injected = vf_square_limited(word="00110011")
-    assert not injected.passed
-    assert injected.counterexample == {"square": "00110011"}
-    small = vf_square_limited(word="0101")
-    assert not small.passed
-    assert small.counterexample == {"missing_squares": ["00", "11"]}
-    # 1010 is a square outside {00, 11, 0101}, so the inventory reports it
-    assert vf_square_limited(word="001010").counterexample == {"square": "1010"}
-    assert vf_square_limited(300).parameters["lookahead"] == 100
+def test_square_limited_check_passes_and_negative_controls(monkeypatch):
+    report = vf_square_limited(300)
+    assert report.passed
+    assert report.parameters == {"n": 300, "lookahead": 100, "injected": False}
+    words = {"00110011": {"square": "00110011"}, "0101": {"missing_squares": ["00", "11"]},
+             # 1010 is a square outside {00, 11, 0101}, so the inventory reports it
+             "001010": {"square": "1010"}}
+    for word, counterexample in words.items():
+        monkeypatch.setattr(verify, "square_limited_prefix", lambda n: word)
+        report = vf_square_limited(300)
+        assert not report.passed and report.counterexample == counterexample
 
 
 def test_mod3_and_w2_negative_controls():

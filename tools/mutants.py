@@ -1,9 +1,10 @@
 """Mutation check for the slot kernel's pruning rules, the square walk it
 shares with the square-limited generator, the bound on the left-completion
 search, the prover's end check and dead-suffix table, the oracle's class
-verdict, the registry's Thue-Morse clauses, derived windows, reversal bound,
-table of morphic images and sampled caps, the table of pattern symmetries
-and the pattern graph's loop-or-triangle test.
+verdict, the registry's parameter ranges, Thue-Morse clauses, derived
+windows, reversal bound, table of morphic images and sampled caps, the
+square-limited generator's floor, the table of pattern symmetries and the
+pattern graph's loop-or-triangle test.
 
     python3 tools/mutants.py
 
@@ -26,7 +27,7 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-52 rows took 6.4 minutes on a 2-core x86-64 machine with Python 3.11, and
+54 rows took 6.0 minutes on a 2-core x86-64 machine with Python 3.11, and
 the unmutated run about 15 s.  Every row fails a test: row 3, whose broken
 jump loops, fails the first kernel test in ``tests/test_matcher.py``, whose
 word gives up after 100 calls to ``find``, well before the timeout.
@@ -92,6 +93,9 @@ MUTANTS = [
      "next half searched past the least |Y| left: the half giving it is skipped"),
     (S, 'not rev.startswith(b"1010")', 'not rev.startswith(b"0101")',
      "square-limited generator excepts 0101 for 1010 at the start of the reversed word"),
+    (S, "max(len(_sl_word) - DEFAULT_LOOKAHEAD, 0)", "max(len(_sl_word) - DEFAULT_LOOKAHEAD - 1, 0)",
+     "square-limited floor one letter short of the prefix handed out: the last emitted "
+     "letter may be revised"),
     # the repeat floor
     (M, "found = _match_at(plan, data, start, max_x, max_y, floor)",
      "found = _match_at(plan, data, start, max_x, max_y, floor + 1)",
@@ -136,6 +140,9 @@ MUTANTS = [
     (S, "min(max_factor_len, len(u))", "min(max_factor_len, len(u) - 1) or 1",
      "completion table built over factors one letter shorter than u: the images "
      "of |u|-letter factors are missed"),
+    # the registry's parameter ranges
+    (V, "if not least <= value <= greatest:", "if not least < value <= greatest:",
+     "range check made strict: a value at its least bound is refused"),
     # the oracle's class verdict
     (V, "if report.inconclusive or not avoids(", "if not avoids(",
      "a search that spent its budget supplies a witness when its longest word happens "
