@@ -25,13 +25,16 @@ each place it occurs fixes |Y|; the y slot right after that run rejects
 most places before y is sliced.  When that slot repeats the first y slot,
 it begins with the first y slot's first letters (as many as the least |Y|
 left), which are searched for with the run; when it mirrors the y slot
-before the run, the letters on both sides of the run must agree.  A
-pattern that opens with xy.xy or xY.xY has no key slot and no pin: its
-instances begin with a square of half |X| + |Y|, so the kernel reads the
-half-lengths of the squares at the start (``_square_halves``, the
-recurrence jump of xx) and takes |Y| off them, and stops at once where no
-square starts; by the three-squares lemma, O(log n) primitively rooted
-squares start at any one position.  Every
+before the run, the letters on both sides of the run must agree.  When
+the first y-run opens with yy or YY, every instance has a square of half
+|Y| where that run begins, so each place the x-run gives is also checked
+for that square, and the recurrence jump of yy skips the places whose |Y|
+no square there has.  A pattern that opens with xy.xy or xY.xY has no key
+slot and no pin: its instances begin with a square of half |X| + |Y|, so
+the kernel reads the half-lengths of the squares at the start
+(``_square_halves``, the recurrence jump of xx) and takes |Y| off them,
+and stops at once where no square starts; by the three-squares lemma,
+O(log n) primitively rooted squares start at any one position.  Every
 scan runs on the pattern's x-led form (``x_led``), the only form
 ``_plan`` compiles: renaming keeps where instances start.  The witness is
 still p's own least (start, |X|, |Y|): when the renaming swapped two used
@@ -107,11 +110,14 @@ def _plan(p: str) -> tuple:
     y (``y_fwd`` when that slot is y, not Y), and the pinned x-run.
     ``two_sided`` is set when both x and X occur.  ``pin`` is set when an
     x-run follows the first y-run: (the y-run's length, the x-run,
-    ``extend``, ``mirror``), where ``extend`` says the y slot after the
-    x-run has the first y slot's orientation and ``mirror`` that it has the
-    opposite orientation to the slot just before the x-run.  ``square`` is
-    set, and ``key`` and ``pin`` are not, when p opens with xy.xy or
-    xY.xY: every instance then begins with a square of half |X| + |Y|.
+    ``extend``, ``mirror``, ``square_y``), where ``extend`` says the y slot
+    after the x-run has the first y slot's orientation, ``mirror`` that it
+    has the opposite orientation to the slot just before the x-run, and
+    ``square_y`` that the y-run opens with two slots of one orientation, yy
+    or YY, so that every instance has a square of half |Y| where the y-run
+    begins.  ``square`` is set, and ``key`` and ``pin`` are not, when p
+    opens with xy.xy or xY.xY: every instance then begins with a square of
+    half |X| + |Y|.
     """
     p = x_led(parse_pattern(p))
     a, b = variable_counts(p)
@@ -136,7 +142,8 @@ def _plan(p: str) -> tuple:
         key = (run_y, run_x[0] == "X")
     if run_x and not square:
         after = after_y[len(run_x):len(run_x) + 1]  # the y slot after the run, if any
-        pin = (run_y, _run(run_x), after == body[0], after not in ("", body[run_y - 1]))
+        pin = (run_y, _run(run_x), after == body[0], after not in ("", body[run_y - 1]),
+               body[1] == body[0])
     return (a, b, lead, _run(p[2:lead]), tuple(tail), key, "x" in p and "X" in p,
             body[:1] == "y", pin, square)
 
@@ -176,7 +183,7 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
 
     Returns the (x, y) values of that instance, y None for x-only patterns,
     or None when no such instance within the bounds starts there.  Each
-    candidate's slots are compared at their own offsets; six prunings
+    candidate's slots are compared at their own offsets; seven prunings
     choose the candidates, the sixth in place of the first and third.
 
     1. The recurrence jump.  When x recurs, the key slot (see ``_plan``)
@@ -198,7 +205,8 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
        an instance would also start at a place it has ruled out.
     3. The |Y| pin.  Once X is known, the x-run after the first y-run is a
        fixed string, and each place it occurs fixes |Y|.  When the run
-       begins with the key slot, it occurs nowhere before f.
+       begins with the key slot, it occurs nowhere before f.  A place that
+       gives no whole |Y| sends the search on to the next place that does.
     4. When the y slot right after the run has the first y slot's
        orientation, it begins with the first y slot's first ``low``
        letters, so those are searched for with the run.
@@ -212,6 +220,19 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
        (and lim_x + max_y under a |Y| cap) are tried: with none, no
        instance starts here, |X| stays below the largest, and each |Y| is a
        half less |X|.
+    7. The y-run's square.  When the y-run opens with yy or YY, every
+       instance has the square w[base:base + 2ly], base = start + lead*lx.
+       A place of the run that passes the checks above gives ly; let g be
+       the first place of the head w[base:base + ly] from base + ly up to
+       base + lim_y.  A square of half P > ly has that head at
+       base + P, so with no g no |Y| is left for this |X|, and with g beyond
+       base + ly no half between ly and g - base is a square: the run
+       search goes on from the place that gives |Y| = g - base.  Only a hit
+       at base + ly keeps ly, whose slots are then compared.  This is the
+       recurrence jump of xx that ``_square_halves`` walks, taken only at
+       the |Y| the run gives: the two candidate streams are intersected
+       leapfrog-style (Veldhuizen 2014), and by the three-squares lemma
+       (Crochemore and Rytter 1995) few squares begin at any one place.
     """
     a, b, lead, lead_rest, tail, key, two_sided, y_fwd, pin, square = plan
     room = len(w) - start
@@ -258,7 +279,7 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
             return xf, None
         ly = low = (floor - a * lx) // b + 1 if floor >= a * lx else 1
         if pin:
-            run_y, run_x, extend, mirror = pin
+            run_y, run_x, extend, mirror, square_y = pin
             t = (xf * run_x if run_x.__class__ is int
                  else b"".join([xf if fwd else xr for fwd in run_x]))
             run_len = len(t)
@@ -274,9 +295,20 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
                 q = w.find(t, q + 1, end)
                 if q < 0:
                     break
-                if (q - base) % run_y or mirror and w[q - 1] != w[q + run_len]:
+                off = (q - base) % run_y
+                if off:
+                    q += run_y - off - 1  # on to the next aligned place
+                    continue
+                if mirror and w[q - 1] != w[q + run_len]:
                     continue
                 ly = (q - base) // run_y
+                if square_y:
+                    g = w.find(w[base:base + ly], base + ly, base + lim_y + ly)
+                    if g < 0:
+                        break  # no square of half ly or more begins the y-run
+                    if g > base + ly:
+                        q = base + run_y * (g - base) - 1  # on to |Y| = g - base
+                        continue
             else:
                 if square:
                     ly = halves[bisect_left(halves, lx + ly)] - lx

@@ -45,6 +45,22 @@ def test_key_hit_at_the_reach_needs_no_jump():
         assert matcher._match_at(matcher._plan(p), _CountedWord(w), 0) == want, p
 
 
+def test_square_y_kernel_stops_where_no_square_begins_the_y_run():
+    # kept before the oracle tests: a square jump that loops stalls them but
+    # fails here, where the word gives up after 100 calls to find.  With
+    # x = 0 or 00, no square of any half begins where the y-run does, so
+    # the kernel stops at the first place of the run instead of walking the
+    # 150 places of x that give a whole |Y|
+    w = b"001" + b"0" * 300
+    for p in ("xxyyx", "xxYYx", "xyyxx"):
+        assert matcher._match_at(matcher._plan(p), _CountedWord(w), 0) is None, p
+    # the run gives |Y| = 2 at 6, and the head 10 of the y-run at 2 recurs
+    # at 5, one place on: the run search goes on from |Y| = 3, where the
+    # square 101101 begins the y-run and x = 0 follows it
+    w = b"00" + b"10110" + b"1" + b"0" * 60
+    assert matcher._match_at(matcher._plan("xxyyx"), _CountedWord(w), 0) == (b"0", b"101")
+
+
 def test_parse_word():
     assert parse_word("0110") == "0110"
     assert parse_word("0123456789") == "0123456789"
@@ -239,6 +255,40 @@ def test_square_led_kernel_stops_where_no_square_starts():
     for p, at_3 in (("xyxy", (b"0", b"1")), ("xYxYx", (b"0", b"1")), ("xyxyy", None)):
         assert matcher._match_at(matcher._plan(p), _CountedWord(w), 0) is None
         assert matcher._match_at(matcher._plan(p), w, 3) == at_3, p
+
+def _y_run_opens_with_a_square(p):
+    """True when p's first y-run opens with yy or YY and an x-run follows it."""
+    body = p.lstrip("xX")
+    return body[:2] in ("yy", "YY") and body.lstrip("yY")[:1] in ("x", "X")
+
+
+# every x-led pattern up to length 6 whose first y-run opens with yy or YY
+# and is followed by an x-run: each |Y| the run gives must begin a square
+SQUARE_Y = [p for n in range(4, 7) for t in product(PATTERN_ALPHABET, repeat=n - 1)
+            for p in ["x" + "".join(t)] if _y_run_opens_with_a_square(p)]
+
+
+def test_square_y_kernel_agrees_with_oracle_on_square_rich_words():
+    # overlap-free, square-limited, periodic, unary and random binary hosts:
+    # a y-run square at many |Y| the run gives, at none, or further on;
+    # every start, floors 0..5, with and without caps
+    rng = random.Random(20261020)
+    hosts = [thue_morse_prefix(24), square_limited_prefix(24), "01" * 10, "0" * 16]
+    hosts += ["".join(rng.choice("01") for _ in range(20)) for _ in range(2)]
+    for p in ["x" + "".join(t) for n in range(1, 7) for t in product(PATTERN_ALPHABET, repeat=n - 1)]:
+        pin = matcher._plan(p)[8]
+        assert bool(pin and pin[4]) == (p in SQUARE_Y), p
+    for p in SQUARE_Y:
+        plan = matcher._plan(p)
+        for w in hosts:
+            data = w.encode()
+            for start in range(len(w)):
+                for floor in range(6):
+                    for max_x, max_y in ((None, None), (2, 3), (3, 1)):
+                        got = matcher._match_at(plan, data, start, max_x, max_y, floor)
+                        want = _oracle_find(w, p, max_x, max_y, (start,), floor)
+                        assert got == (want and (want.x.encode(), want.y.encode())), (
+                            p, w, start, max_x, max_y, floor)
 
 
 def test_square_halves_are_the_squares_at_a_start():

@@ -1,10 +1,11 @@
 """Mutation check for the slot kernel's pruning rules, the square walk it
-shares with the square-limited generator, the bound on the left-completion
-search, the prover's end check and dead-suffix table, the oracle's class
-verdict, the registry's parameter ranges, Thue-Morse clauses, derived
-windows, reversal bound, table of morphic images and sampled caps, the
-square-limited generator's floor, the table of pattern symmetries and the
-pattern graph's loop-or-triangle test.
+shares with the square-limited generator, the square that begins a yy- or
+YY-opened y-run, the bound on the left-completion search, the prover's end
+check and dead-suffix table, the oracle's class verdict, the registry's
+parameter ranges, Thue-Morse clauses, derived windows, reversal bound,
+table of morphic images and sampled caps, the square-limited generator's
+floor, the table of pattern symmetries and the pattern graph's
+loop-or-triangle test.
 
     python3 tools/mutants.py
 
@@ -27,10 +28,11 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-54 rows took 6.0 minutes on a 2-core x86-64 machine with Python 3.11, and
-the unmutated run about 15 s.  Every row fails a test: row 3, whose broken
-jump loops, fails the first kernel test in ``tests/test_matcher.py``, whose
-word gives up after 100 calls to ``find``, well before the timeout.
+59 rows took 8.5 minutes on a 2-core x86-64 machine with Python 3.11, and
+the unmutated run about 20 s.  Every row fails a test: row 3, whose broken
+jump loops, fails the first kernel test in ``tests/test_matcher.py``, and
+row 17, whose square jump loops, the second; both tests' words give up
+after 100 calls to ``find``, well before the timeout.
 """
 
 from __future__ import annotations
@@ -91,6 +93,18 @@ MUTANTS = [
      "|Y| read off a half one too large"),
     (M, "ly = halves[bisect_left(halves, lx + ly)] - lx", "ly = halves[bisect_left(halves, lx + ly + 1)] - lx",
      "next half searched past the least |Y| left: the half giving it is skipped"),
+    # the square that begins a yy- or YY-opened y-run
+    (M, "q = base + run_y * (g - base) - 1", "q = base + run_y * (g - base - 1) - 1",
+     "square jump one |Y| short: a head that recurs one place on sends the run search "
+     "back to the place it left, which loops"),
+    (M, "q += run_y - off - 1", "q += run_y - off",
+     "alignment rounding one past the next aligned place: the run there is skipped"),
+    (M, "base + lim_y + ly)", "base + lim_y + ly - 1)",
+     "square window one letter short: a square of half lim_y is missed"),
+    (M, "w.find(w[base:base + ly], base + ly,", "w.find(w[base:base + ly], base + ly + 1,",
+     "square head searched from one past base + ly: the y-run's own square is never a hit"),
+    (M, "body[1] == body[0])", 'body[1] in "yY")',
+     "square rule enabled for a yY run, whose instances need not begin with a square"),
     (S, 'not rev.startswith(b"1010")', 'not rev.startswith(b"0101")',
      "square-limited generator excepts 0101 for 1010 at the start of the reversed word"),
     (S, "max(len(_sl_word) - DEFAULT_LOOKAHEAD, 0)", "max(len(_sl_word) - DEFAULT_LOOKAHEAD - 1, 0)",
