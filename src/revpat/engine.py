@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, product
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 from .matcher import _match_at, _plan, apply_morphism
 from .patterns import (
@@ -211,6 +211,15 @@ def _compile_end_checker(p: str):
     return per_node, factory(_plan(anchored)), anchored
 
 
+class _Frame:  # one expanded node of prove_k_unavoidable's search
+    __slots__ = ("rword", "floor", "reach", "height", "letters")
+
+    def __init__(self, rword: bytes, floor: int, reach: int, height: int,
+                 letters: Iterator[bytes]) -> None:
+        self.rword, self.floor, self.reach, self.height = rword, floor, reach, height
+        self.letters = letters
+
+
 def prove_k_unavoidable(p: str, k: int, depth_limit: int,
                         max_nodes: int | None = None) -> BacktrackReport:
     """Exhaust the tree of words over a k-letter alphabet avoiding p.
@@ -223,11 +232,11 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
     With a ``max_nodes`` budget the search visits at most that many nodes;
     a search that would need more returns an ``inconclusive`` report.
 
-    Dead subtrees are remembered by their suffix.  The frame of each
-    expanded node u keeps ``reach``, the least start (in the forward word)
-    of an instance that killed a node below u, and ``height``, the length of
-    the longest avoider below u.  When u's subtree is exhausted, its dead
-    suffix s = u[reach:] is stored with the offset height - |u|.
+    Each expanded node u has a frame: ``rword``, u reversed; ``floor``;
+    ``reach``, the least start (in the forward word) of an instance that
+    killed a node below u; ``height``, the length of the longest avoider
+    below u; and the ``letters`` left to try.  When u's subtree is exhausted,
+    its dead suffix s = u[reach:] is stored with the offset height - |u|.
 
     Lemma: for every word e with |ue| > height, ue contains an instance of p
     inside s·e.  So an avoiding word v that ends with s has no avoider v·e
@@ -259,53 +268,45 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
 
     longest = ""
     nodes = settled = 0
-    stack = [0]
-    rwords = [b""]  # the path's node words, each reversed
-    floors = [0]  # for each, the length of a prefix that recurs in it
-    reaches = [0]  # for each, the least start of an instance killing below it
-    heights = [0]  # for each, the length of the longest avoider below it
+    frames = [_Frame(b"", 0, 0, 0, iter(letters[:1]))]  # the root tries letter 0 only
     dead: dict[bytes, int] = {}  # the stored suffixes, reversed, and their offsets
     lengths: list[int] = []  # their distinct lengths, ascending
 
-    while stack:
-        idx = stack[-1]
-        if idx >= (1 if len(stack) == 1 else k):
-            stack.pop()
-            rword = rwords.pop()
-            floors.pop()
-            reach, height = reaches.pop(), heights.pop()
-            if stack:
-                n = len(rword)
-                key, offset = rword[:n - reach], height - n
+    while frames:
+        top = frames[-1]
+        letter = next(top.letters, None)
+        if letter is None:
+            frames.pop()
+            if frames:
+                n = len(top.rword)
+                key, offset = top.rword[:n - top.reach], top.height - n
                 if len(key) not in lengths:
                     insort(lengths, len(key))
                 if dead.get(key, offset) >= offset:
                     dead[key] = offset
-                reaches[-1] = min(reaches[-1], reach)
-                heights[-1] = max(heights[-1], height)
+                parent = frames[-1]
+                parent.reach = min(parent.reach, top.reach)
+                parent.height = max(parent.height, top.height)
             continue
         if nodes == budget:
-            return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest,
-                                   True, settled)
-        stack[-1] += 1
+            break
         nodes += 1
-        rword = letters[idx] + rwords[-1]
-        floor = floors[-1] + 1
+        rword = letter + top.rword
+        floor = top.floor + 1
         if rword.find(rword[:floor], 1) < 0:
             floor = 0
         n = len(rword)
         found = check(rword, floor)
         if found and not per_node:
-            reaches[-1] = min(reaches[-1], n - found)
+            top.reach = min(top.reach, n - found)
             continue
         if n > len(longest):
             longest = rword[::-1].decode()
         if n >= depth_limit:
-            return BacktrackReport(p, k, depth_limit, False, nodes, len(longest), longest,
-                                   False, settled)
+            break
         if found:  # a per-node hit: every child of rword contains p
-            reaches[-1] = min(reaches[-1], n - found)
-            heights[-1] = max(heights[-1], n)
+            top.reach = min(top.reach, n - found)
+            top.height = max(top.height, n)
             continue
         room = min(len(longest), depth_limit - 1) - n
         offset = depth_limit
@@ -317,16 +318,14 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
                 break
         if offset <= room:  # rword[:cut] is a stored suffix whose bound fits
             settled += 1
-            reaches[-1] = min(reaches[-1], n - cut)
-            heights[-1] = max(heights[-1], n + offset)
+            top.reach = min(top.reach, n - cut)
+            top.height = max(top.height, n + offset)
             continue
-        rwords.append(rword)
-        floors.append(floor)
-        reaches.append(n)
-        heights.append(n)
-        stack.append(0)
+        frames.append(_Frame(rword, floor, n, n, iter(letters)))
 
-    return BacktrackReport(p, k, depth_limit, True, nodes, len(longest), longest, False, settled)
+    terminated = not frames  # else the search broke at the depth limit or the budget
+    return BacktrackReport(p, k, depth_limit, terminated, nodes, len(longest), longest,
+                           not terminated and len(longest) < depth_limit, settled)
 
 
 # --- the pattern graph and the alternating-word criterion ------------------------

@@ -107,16 +107,15 @@ def covering_prefix_length(factor_len: int) -> int:
 
 # --- the square-limited word ----------------------------------------------------
 
-# The raw DFS word so far: n + DEFAULT_LOOKAHEAD letters for the largest n handed out.
+# The raw DFS word, newest letter first: n + DEFAULT_LOOKAHEAD letters for the largest n emitted.
 _sl_word = bytearray()
 
 
 def _ends_in_forbidden_square(word: bytearray) -> bool:
-    """Does a square outside {00, 11, 0101} end ``word``: does the reversed
-    word start with a square of half 2 other than 1010, or of half 3 or more?"""
-    rev = word[::-1]
-    return any(half > 2 or not rev.startswith(b"1010")
-               for half in _square_halves(rev, 0, 2, len(rev) // 2))
+    """Does ``word``, newest letter first, start with a square outside
+    {00, 11, 0101} reversed: of half 2 other than 1010, or of half 3 or more?"""
+    return any(half > 2 or not word.startswith(b"1010")
+               for half in _square_halves(word, 0, 2, len(word) // 2))
 
 
 def _extend_square_limited(word: bytearray, target: int, floor: int) -> None:
@@ -127,11 +126,11 @@ def _extend_square_limited(word: bytearray, target: int, floor: int) -> None:
     """
     c = 0x30  # try 0 first: the generated word is lexicographically least
     while len(word) < target:
-        word.append(c)
+        word.insert(0, c)
         bad = _ends_in_forbidden_square(word)
         if bad:
             # drop the failed letter and every 1 before it; the 0 reached becomes a 1
-            while word.pop() == 0x31:
+            while word.pop(0) == 0x31:
                 if len(word) <= floor:
                     raise RuntimeError(
                         "square-limited generation backtracked across an emitted prefix; "
@@ -147,7 +146,7 @@ def square_limited_prefix(n: int) -> str:
     if n and len(_sl_word) < n + DEFAULT_LOOKAHEAD:
         _extend_square_limited(_sl_word, n + DEFAULT_LOOKAHEAD,
                                max(len(_sl_word) - DEFAULT_LOOKAHEAD, 0))
-    return _sl_word[:n].decode()
+    return _sl_word[len(_sl_word) - n:][::-1].decode()
 
 
 def g_from(fw: str) -> str:

@@ -156,26 +156,27 @@ def test_prover_matches_brute_force_enumeration():
                 assert got == _brute_force_prove(p, k, depth), (p, k)
 
 
-# (pattern, k, depth) -> (terminated, nodes_visited), one or two patterns for
-# each end-checker shape; node counts are the prover's machine-independent cost
+# (pattern, k, depth) -> (terminated, nodes_visited, settled), one or two
+# patterns for each end-checker shape; node counts are the prover's
+# machine-independent cost
 PINNED_NODE_COUNTS = {
-    ("xxx", 2, 100): (False, 150),
-    ("xx", 3, 100): (False, 224),
-    ("xxy", 2, 30): (True, 7),
-    ("xXy", 3, 40): (False, 59),
-    ("yxx", 2, 30): (True, 15),
-    ("xxyx", 3, 40): (False, 8927),
-    ("xyxx", 2, 100): (True, 35),
-    ("xyxyx", 2, 200): (False, 274),
-    ("xyxY", 2, 30): (True, 135),
-    ("xyXYx", 2, 200): (False, 261),
+    ("xxx", 2, 100): (False, 150, 0),
+    ("xx", 3, 100): (False, 224, 1),
+    ("xxy", 2, 30): (True, 7, 0),
+    ("xXy", 3, 40): (False, 59, 0),
+    ("yxx", 2, 30): (True, 15, 0),
+    ("xxyx", 3, 40): (False, 8927, 1185),
+    ("xyxx", 2, 100): (True, 35, 2),
+    ("xyxyx", 2, 200): (False, 274, 5),
+    ("xyxY", 2, 30): (True, 135, 23),
+    ("xyXYx", 2, 200): (False, 261, 17),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_NODE_COUNTS), ids="{0[0]}-{0[1]}-{0[2]}".format)
 def test_prove_node_counts_are_pinned(case):
     r = prove_k_unavoidable(*case)
-    assert (r.terminated, r.nodes_visited) == PINNED_NODE_COUNTS[case]
+    assert (r.terminated, r.nodes_visited, r.settled) == PINNED_NODE_COUNTS[case]
 
 
 # (pattern, k, depth) -> (terminated, longest_word_length, longest_word) as the
@@ -200,17 +201,23 @@ def test_settling_changes_no_report_field_but_the_counts(case):
 
 
 def test_node_budget_makes_a_search_inconclusive():
-    full = prove_k_unavoidable("xxyx", 3, 40)
-    assert prove_k_unavoidable("xxyx", 3, 40, max_nodes=None) == full
-    # a budget the search does not need changes nothing
-    assert prove_k_unavoidable("xxyx", 3, 40, max_nodes=full.nodes_visited) == full
+    # an exhaustion and a witness, each under every budget from 1 up to the
+    # nodes it needs, and one more
+    for p, k, depth, terminated in (("xyxY", 2, 30, True), ("xxx", 2, 100, False)):
+        full = prove_k_unavoidable(p, k, depth)
+        assert (full.terminated, full.inconclusive) == (terminated, False)
+        assert prove_k_unavoidable(p, k, depth, max_nodes=None) == full
+        for budget in range(1, full.nodes_visited + 2):
+            cut = prove_k_unavoidable(p, k, depth, max_nodes=budget)
+            if budget >= full.nodes_visited:  # a budget that suffices changes nothing
+                assert cut == full, budget
+                continue
+            assert (cut.terminated, cut.inconclusive, cut.nodes_visited) == (False, True, budget)
+            assert len(cut.longest_word) == cut.longest_word_length < depth, budget
+            assert avoids(cut.longest_word, p), budget
     cut = prove_k_unavoidable("xxyx", 3, 40, max_nodes=1000)
     assert (cut.terminated, cut.inconclusive, cut.nodes_visited) == (False, True, 1000)
     assert cut.longest_word_length < 40 and avoids(cut.longest_word, "xxyx")
-    # an exhaustion that fits the budget exactly is still a certificate
-    done = prove_k_unavoidable("xyxY", 2, 30)
-    assert prove_k_unavoidable("xyxY", 2, 30, max_nodes=done.nodes_visited) == done
-    assert done.terminated and not done.inconclusive
     with pytest.raises(ValueError, match="budget"):
         prove_k_unavoidable("xx", 2, 10, max_nodes=0)
 

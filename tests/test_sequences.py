@@ -90,18 +90,20 @@ def test_square_limited_matches_exhaustive_enumeration():
     least = next(w for w in map("".join, product("01", repeat=18)) if _allowed_squares_only(w))
     word = bytearray()
     seq._extend_square_limited(word, 18, 0)
-    assert word.decode() == least
+    assert word[::-1].decode() == least
     assert square_limited_prefix(12) == least[:12]
     assert least[:12] == "000101100011"
 
 
 def test_square_limited_extension_never_revises_the_emitted_floor():
     # both 011010 and 011011 end in a forbidden square, so extending 01101
-    # means revising its third letter
+    # means revising its third letter; the generator holds its word newest
+    # letter first
     with pytest.raises(RuntimeError, match="emitted prefix"):
-        seq._extend_square_limited(bytearray(b"01101"), 6, 5)
-    word = bytearray(b"01101")
+        seq._extend_square_limited(bytearray(b"01101"[::-1]), 6, 5)
+    word = bytearray(b"01101"[::-1])
     seq._extend_square_limited(word, 6, 0)
+    word = word[::-1]
     assert len(word) == 6 and word[:3] == b"011" and _allowed_squares_only(word.decode())
 
 
@@ -125,7 +127,7 @@ def test_square_limited_lookahead_margin_is_measured(depth, reached):
     except RuntimeError:
         assert target == reached
     else:
-        assert reached is None and word.decode() == square_limited_prefix(4100)
+        assert reached is None and word[::-1].decode() == square_limited_prefix(4100)
 
 
 def test_square_limited_prefix_4000_is_pinned(monkeypatch):
@@ -333,7 +335,8 @@ def _brute_forbidden_square_ends(w):
 
 
 def _generator_end_test(w):
-    return seq._ends_in_forbidden_square(bytearray(w.encode()))
+    # the generator holds its word newest letter first
+    return seq._ends_in_forbidden_square(bytearray(w[::-1].encode()))
 
 
 # The generator's former end test: a square outside {00, 11, 0101} at the
@@ -345,7 +348,7 @@ def test_forbidden_square_end_test_matches_the_regular_expression():
     for n in range(17):
         for letters in product(b"01", repeat=n):
             word = bytearray(letters)
-            assert seq._ends_in_forbidden_square(word) == (
+            assert seq._ends_in_forbidden_square(word[::-1]) == (
                 _FORBIDDEN_SQUARE.match(word[::-1]) is not None), word
 
 

@@ -1,11 +1,11 @@
 """Mutation check for the slot kernel's pruning rules, the square walk it
 shares with the square-limited generator, the square that begins a yy- or
 YY-opened y-run, the bound on the left-completion search, the prover's end
-check and dead-suffix table, the oracle's class verdict, the registry's
-parameter ranges, Thue-Morse clauses, derived windows, reversal bound,
-table of morphic images and sampled caps, the square-limited generator's
-floor, the table of pattern symmetries and the pattern graph's
-loop-or-triangle test.
+check, dead-suffix table, frame stack and report exits, the oracle's
+class verdict, the registry's parameter ranges, Thue-Morse clauses, derived
+windows, reversal bound, table of morphic images and sampled caps, the
+square-limited generator's floor and orientation, the table of pattern
+symmetries and the pattern graph's loop-or-triangle test.
 
     python3 tools/mutants.py
 
@@ -28,7 +28,7 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-59 rows took 8.5 minutes on a 2-core x86-64 machine with Python 3.11, and
+64 rows took 11-13 minutes on a 2-core x86-64 machine with Python 3.11, and
 the unmutated run about 20 s.  Every row fails a test: row 3, whose broken
 jump loops, fails the first kernel test in ``tests/test_matcher.py``, and
 row 17, whose square jump loops, the second; both tests' words give up
@@ -105,8 +105,10 @@ MUTANTS = [
      "square head searched from one past base + ly: the y-run's own square is never a hit"),
     (M, "body[1] == body[0])", 'body[1] in "yY")',
      "square rule enabled for a yY run, whose instances need not begin with a square"),
-    (S, 'not rev.startswith(b"1010")', 'not rev.startswith(b"0101")',
-     "square-limited generator excepts 0101 for 1010 at the start of the reversed word"),
+    (S, 'not word.startswith(b"1010")', 'not word.startswith(b"0101")',
+     "square-limited generator excepts 0101 for 1010 at the start of its newest-first word"),
+    (S, "_sl_word[len(_sl_word) - n:][::-1].decode()", "_sl_word[len(_sl_word) - n:].decode()",
+     "square-limited prefix returned newest letter first, as the generator holds it"),
     (S, "max(len(_sl_word) - DEFAULT_LOOKAHEAD, 0)", "max(len(_sl_word) - DEFAULT_LOOKAHEAD - 1, 0)",
      "square-limited floor one letter short of the prefix handed out: the last emitted "
      "letter may be revised"),
@@ -137,12 +139,22 @@ MUTANTS = [
     (E, "room = min(len(longest), depth_limit - 1) - n", "room = depth_limit - 1 - n",
      "settling without the len(longest) guard: a settled subtree may hold the word "
      "the full search reports"),
-    (E, "key, offset = rword[:n - reach], height - n",
-     "key, offset = rword[:n - reach - 1], height - n",
+    (E, "key, offset = top.rword[:n - top.reach], top.height - n",
+     "key, offset = top.rword[:n - top.reach - 1], top.height - n",
      "dead suffix stored one letter short: a killing instance may start before it"),
-    (E, "reaches[-1] = min(reaches[-1], reach)", "pass",
+    (E, "parent.reach = min(parent.reach, top.reach)", "pass",
      "a dead child's reach not folded into its parent's: the parent's suffix misses "
      "instances that killed nodes deeper down"),
+    (E, "parent.height = max(parent.height, top.height)", "pass",
+     "a dead child's height not folded into its parent's: the parent's offset is too "
+     "small, so a later node is settled although its subtree holds a longer avoider"),
+    # the prover's frame stack and its one report
+    (E, "iter(letters[:1])", "iter(letters)",
+     "the root frame tries every letter: the first letter is no longer fixed to 0"),
+    (E, "terminated = not frames", "terminated = len(longest) < depth_limit",
+     "the budget exit reported as terminated: a search cut short reads as a certificate"),
+    (E, "not terminated and len(longest) < depth_limit", "not terminated",
+     "the depth exit reported as inconclusive: a witness reads as a spent budget"),
     # the prover's one end-check call per node
     (E, "if found and not per_node:", "if found:",
      "a per-node hit kills the node itself: a word all of whose children contain p "
