@@ -233,7 +233,7 @@ def tm_factor_images(m: tuple[str, str], max_factor_len: int) -> frozenset[str]:
                       for i in range(len(tau) - length + 1)})
 
 
-# Longest Thue-Morse factor whose image ``left_completions`` searches by default.
+# Longest Thue-Morse factor whose image ``left_completions`` searches.
 COMPLETION_FACTOR_BOUND = 64
 
 
@@ -245,26 +245,26 @@ def _image_suffix_lengths(m: tuple[str, str], max_factor_len: int) -> dict[str, 
     return {v: next((n for n in range(len(v) - 1, 0, -1) if v[-n:] in images), 0) for v in images}
 
 
-def left_completions(u: str, m: tuple[str, str],
-                     max_factor_len: int = COMPLETION_FACTOR_BOUND) -> list[str]:
+def left_completions(u: str, m: tuple[str, str]) -> list[str]:
     """All image words v = m(t) ending in u whose shorter image-suffixes miss u.
 
     A word v qualifies when u is a suffix of v but u is not a suffix of any
     proper suffix of v that is itself an image of a Thue-Morse factor; since u
     and those suffixes are all suffixes of v, the latter just means no proper
     image-suffix of v has length >= |u|.  The search covers images of factors
-    up to max_factor_len letters, but only factors up to |u| letters matter,
-    as m is non-erasing: m(s) has the proper image-suffix m(s[1:]) of at
-    least |s| - 1 letters, so it qualifies only when |s| <= |u|; and a proper
-    image-suffix m(s') with |s'| > |u| ends in m(s''), s'' the |u|-letter
-    suffix of s', which is itself at least |u| letters long.  So one scan of
-    the table built at min(max_factor_len, |u|) gives the same answer.
+    up to COMPLETION_FACTOR_BOUND letters, but only factors up to |u| letters
+    matter, as m is non-erasing: m(s) has the proper image-suffix m(s[1:]) of
+    at least |s| - 1 letters, so it qualifies only when |s| <= |u|; and a
+    proper image-suffix m(s') with |s'| > |u| ends in m(s''), s'' the
+    |u|-letter suffix of s', which is itself at least |u| letters long.  So one
+    scan of the table built at min(COMPLETION_FACTOR_BOUND, |u|) gives the
+    same answer.
     """
     if not u:
         raise ValueError("left completions are defined for non-empty factors")
     if m[0] != "0":
         raise ValueError("left completions expect a morphism fixing 0")
-    suffix_lengths = _image_suffix_lengths(m, min(max_factor_len, len(u)))
+    suffix_lengths = _image_suffix_lengths(m, min(COMPLETION_FACTOR_BOUND, len(u)))
     found = (v for v, suffix_len in suffix_lengths.items() if suffix_len < len(u) and v.endswith(u))
     return sorted(found, key=lambda v: (len(v), v))
 

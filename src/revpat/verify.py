@@ -16,12 +16,14 @@ The morphic-image checks ``w1``, ``w2``, ``w3-contexts-repaired`` and ``w4``
 are one function, ``vf_morphic``, over the rows of ``MORPHIC``.  Their window
 lengths are derived at run time from ``bound_factor_length`` and the
 Thue-Morse covering arithmetic, and pinned per row: a different derived value
-fails the report.  A variable whose lowercase and uppercase slots both occur
-in the pattern is capped at L - 1 by one clause, ``_reversal_bound`` at the
-row's length L; the pattern text says which.  Each failing clause reports
-``{"clause": name, ...}``.  The covering arithmetic and ``tm-desubstitution``
-rest on one clause, ``_fixed_point_break``: t[:n] is h(t[:ceil(n/2)]) cut to
-n letters.
+fails the report.  ``w3`` and ``vf_morphic`` both name the factor length each
+clause reads and read the largest window, from ``_largest_window``.  A variable
+whose lowercase and uppercase slots both occur in the pattern is capped at
+L - 1 by one clause, ``_reversal_bound`` at the row's length L; the pattern
+text says which.  Each failing clause reports ``{"clause": name, ...}``.
+The covering arithmetic of ``tm-prefix-covering`` rests on one clause,
+``_fixed_point_break``: t[:n] is h(t[:ceil(n/2)]) cut to n letters, checked on
+a host of 7 * 2**(max_exp + 2) letters and so on each of its prefixes.
 """
 
 from __future__ import annotations
@@ -143,6 +145,14 @@ def _image_window(m: tuple[str, str], factor_len: int) -> tuple[str, str, list[i
     return tm_image(m, covering_prefix_length(bound_factor_length(factor_len, len(m[1]))))
 
 
+def _largest_window(m: tuple[str, str],
+                    factor_lengths: dict[str, int]) -> tuple[dict, tuple[str, str, list[int]]]:
+    """The ``_image_window`` of each named factor length, and the largest of them,
+    which holds every factor the others do."""
+    windows = {name: _image_window(m, n) for name, n in factor_lengths.items()}
+    return windows, max(windows.values(), key=lambda window: len(window[0]))
+
+
 def _reversal_bound(m: tuple[str, str], length: int) -> tuple[str | None, int]:
     """The least reversible factor of m(t) of the given length L, or None, and
     the Thue-Morse prefix whose image was read.
@@ -262,6 +272,16 @@ def _context_sets(w: str, y: str) -> tuple[set[str], set[str]]:
     return left, right
 
 
+def _two_sided_contexts(w: str, palindromes: bool) -> Iterator[tuple[str, dict[str, list[str]]]]:
+    """Each ``CONTEXT_TABLE`` entry y whose left and right context sets in w are
+    both non-empty, with the sorted sets; palindromic entries only when asked."""
+    for y in CONTEXT_TABLE:
+        if palindromes or y != y[::-1]:
+            left, right = _context_sets(w, y)
+            if left and right:
+                yield y, {"left": sorted(left), "right": sorted(right)}
+
+
 def vf_w3(completion_len: int = 24) -> VerificationReport:
     """The five finite searches behind: w3 = f3(t) avoids xyxYx.
 
@@ -274,13 +294,9 @@ def vf_w3(completion_len: int = 24) -> VerificationReport:
     repaired decomposition that the avoidance theorem actually needs is
     checked by the ``w3-contexts-repaired`` row of ``MORPHIC``.
     """
-    windows = {
-        "reversible": _image_window(F3, 6),
-        "contexts": _image_window(F3, 9),
-        "instances": _image_window(F3, _instance_length("xyxYx", 8, 2)),
-        "completions": _image_window(F3, completion_len),
-    }
-    tau, w, _ = max(windows.values(), key=lambda window: len(window[0]))
+    windows, (tau, w, _) = _largest_window(F3, {
+        "reversible": 6, "contexts": 9, "instances": _instance_length("xyxYx", 8, 2),
+        "completions": completion_len})
     clauses: dict[str, bool] = {}
 
     def failures():
@@ -291,11 +307,7 @@ def vf_w3(completion_len: int = 24) -> VerificationReport:
         evidence["reversible"] = sorted(stray - UPSILON)
 
         # (b) no length-3 context works on both sides of y and its reversal
-        evidence["contexts"] = {}
-        for y in CONTEXT_TABLE:
-            left, right = _context_sets(w, y)
-            if left and right:
-                evidence["contexts"][y] = {"left": sorted(left), "right": sorted(right)}
+        evidence["contexts"] = dict(_two_sided_contexts(w, palindromes=True))
 
         # (c) no short instance of xyxYx
         evidence["instances"] = _bounded_hit(w, "xyxYx", 8, 2)
@@ -332,12 +344,8 @@ def _w3_contexts(tau: str, w: str, at: list[int]) -> Iterator[dict]:
     bounded instance search at every table length.  Together with the
     unique-left-completion machinery for |X| >= 9 this is what the avoidance
     proof consumes."""
-    for y in CONTEXT_TABLE:
-        if y == y[::-1]:
-            continue
-        left, right = _context_sets(w, y)
-        if left and right:
-            yield {"clause": "contexts", "y": y, "left": sorted(left), "right": sorted(right)}
+    for y, sets in _two_sided_contexts(w, palindromes=False):
+        yield {"clause": "contexts", "y": y, **sets}
 
 
 def internal_factors(w: str, min_len: int) -> set[str]:
@@ -434,8 +442,7 @@ def vf_morphic(check_id: str) -> VerificationReport:
     max_x, max_y = (length - 1 if v in p and v.upper() in p else row.one_way_cap for v in "xy")
     reversible, rev_prefix = _reversal_bound(m, length)
     factor_lengths = {"instances": _instance_length(p, max_x, max_y), **row.windows}
-    windows = {name: _image_window(m, n) for name, n in factor_lengths.items()}
-    tau, w, at = max(windows.values(), key=lambda window: len(window[0]))
+    windows, (tau, w, at) = _largest_window(m, factor_lengths)
     derived = [rev_prefix, len(windows["instances"][0]), len(w)]
 
     def failures():
@@ -657,23 +664,6 @@ def vf_tm_prefix_covering(max_exp: int = 6) -> VerificationReport:
         {"max_exp": max_exp, "big_len": big_len}, failures(), {"host_prefix": big_len})
 
 
-def vf_tm_desubstitution(prefix_len: int = 512) -> VerificationReport:
-    """Odd-length factors come from images of half-length factors under h.
-
-    A factor of length 2k - 1 at i, of either parity, lies in h(t[i // 2:i // 2 + k]),
-    inside h(t[:ceil(prefix_len / 2)]) when the factor ends inside the host.
-    """
-    def failures():
-        if (at := _fixed_point_break(prefix_len)) is not None:
-            yield {"position": at}
-
-    return _verdict(
-        "tm-desubstitution",
-        f"every odd-length factor of the length-{prefix_len} Thue-Morse prefix "
-        "is a factor of h(v) for a factor v of half its rounded-up length",
-        {"prefix_len": prefix_len}, failures(), {"host_prefix": prefix_len})
-
-
 # --- registry ---------------------------------------------------------------------
 
 # check id -> (check, range (least, greatest) of each of its parameters, all integers).
@@ -697,7 +687,6 @@ CHECKS: dict[str, tuple] = {
     "classical-seeds": (vf_classical_seed_avoiders, {
         "witness_len": (1, inf), "matcher_prefix": (1, inf), "overlap_prefix": (1, inf)}),
     "tm-prefix-covering": (vf_tm_prefix_covering, {"max_exp": (0, 12)}),
-    "tm-desubstitution": (vf_tm_desubstitution, {"prefix_len": (1, inf)}),
 }
 
 

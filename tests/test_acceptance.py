@@ -25,9 +25,9 @@ from revpat.patterns import PATTERN_ALPHABET, canonical, sorted_patterns
 from revpat.sequences import thue_morse_prefix
 from revpat.verify import (
     UPSILON,
+    _fixed_point_break,
     bound_factor_length,
     run_checks,
-    vf_tm_desubstitution,
     vf_tm_prefix_covering,
 )
 
@@ -162,7 +162,7 @@ def test_criterion_09_arithmetic_anchors():
     ok &= bound_factor_length(30, 11) == 10
     covering = vf_tm_prefix_covering(max_exp=6)
     ok &= covering.passed and covering.searched_bound["host_prefix"] == 1792
-    ok &= vf_tm_desubstitution(prefix_len=512).passed
+    ok &= _fixed_point_break(512) is None
     _report("criterion 9: factor-length bounds, prefix covering, and "
             "desubstitution of odd factors", ok, time.perf_counter() - t0, 60)
 

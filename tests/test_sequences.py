@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import revpat.sequences as seq
 from revpat.matcher import avoids, find_instance
 from revpat.sequences import (
+    COMPLETION_FACTOR_BOUND,
     F1,
     F2,
     F3,
@@ -265,20 +266,19 @@ def _image_suffix_lengths(m, bound):
 @pytest.mark.parametrize("m", [F1, F2, F3, F4], ids=["f1", "f2", "f3", "f4"])
 def test_left_completions_match_a_linear_scan(m):
     word = apply_binary_morphism(m, thue_morse_prefix(300))[:300]
-    for bound in (24, 64):
-        suffix_lengths = _image_suffix_lengths(m, bound)
-        longest = max(suffix_lengths, key=len)
-        edge_cases = [
-            "1", "01", "0010110",  # short: the tables over factors of 1, 2 and 7 letters
-            longest, min(suffix_lengths, key=len),  # a whole image
-            "0" + longest,  # longer than every image
-            "2", "12", "0101101112",  # not binary
-        ]
-        factors_of_word = [u for length in range(1, 26) for u in sorted(factor_set(word, length))]
-        for u in factors_of_word + edge_cases:
-            assert left_completions(u, m, bound) == _left_completions_by_scan(u, suffix_lengths), u
-        assert left_completions(longest, m, bound) == [longest]
-        assert left_completions("0" + longest, m, bound) == []
+    suffix_lengths = _image_suffix_lengths(m, COMPLETION_FACTOR_BOUND)
+    longest = max(suffix_lengths, key=len)
+    edge_cases = [
+        "1", "01", "0010110",  # short: the tables over factors of 1, 2 and 7 letters
+        longest, min(suffix_lengths, key=len),  # a whole image
+        "0" + longest,  # longer than every image
+        "2", "12", "0101101112",  # not binary
+    ]
+    factors_of_word = [u for length in range(1, 26) for u in sorted(factor_set(word, length))]
+    for u in factors_of_word + edge_cases:
+        assert left_completions(u, m) == _left_completions_by_scan(u, suffix_lengths), u
+    assert left_completions(longest, m) == [longest]
+    assert left_completions("0" + longest, m) == []
 
 
 def test_overlap_scan_examples():
@@ -426,7 +426,7 @@ def test_tm_factor_images_match_the_per_factor_images():
 
 
 def test_odd_factors_parse_into_h_blocks():
-    # the parsing lemma behind tm-desubstitution: the factor of length 2k - 1 at
+    # the parsing lemma behind the fixed-point clause: the factor of length 2k - 1 at
     # i is h(v), for the k letters v of t from i // 2, less its first letter
     # when i is odd, else less its last
     t = thue_morse_prefix(512)

@@ -45,7 +45,6 @@ from revpat.verify import (
     vf_morphic,
     vf_pigeonhole,
     vf_square_limited,
-    vf_tm_desubstitution,
     vf_w3,
 )
 
@@ -109,7 +108,7 @@ def test_registry_covers_the_finite_searches():
         "square-limited", "g-avoidance", "square-limited-xyxyX",
         "w1", "w2", "w3", "w3-contexts-repaired", "w4",
         "pigeonhole", "alternating", "classifier-oracle", "classical-seeds",
-        "tm-prefix-covering", "tm-desubstitution",
+        "tm-prefix-covering",
     }
     assert set(CHECKS) == expected
 
@@ -141,7 +140,6 @@ def test_run_checks_validation(monkeypatch):
 
 
 @pytest.mark.parametrize("check_id, key, value, minimum", [
-    ("tm-desubstitution", "prefix_len", "0", 1),
     ("tm-prefix-covering", "max_exp", "-1", 0),
     ("classifier-oracle", "max_len", "0", 1),
     ("alternating", "max_len", "1", 2),  # range(2, 2): no pattern checked
@@ -401,16 +399,13 @@ def _flipped_at(position, prefix_len):
 
 
 def test_tm_desubstitution_negative_control(monkeypatch):
-    corrupted = _flipped_at(300, 512)
-    monkeypatch.setattr(verify, "thue_morse_prefix", corrupted)
-    report = vf_tm_desubstitution()
-    assert not report.passed
-    assert report.counterexample == {"position": 300}
+    monkeypatch.setattr(verify, "thue_morse_prefix", _flipped_at(300, 512))
+    assert verify._fixed_point_break(512) == 300
 
 
 def _desubstitution_by_enumeration(host):
-    """The tm-desubstitution clause with every length's factors enumerated:
-    the first counterexample, or None."""
+    """What the fixed-point clause settles on its host, with every odd length's
+    factors enumerated: the first counterexample, or None."""
     for length in range(1, len(host) + 1, 2):
         image = apply_binary_morphism(H, thue_morse_prefix(covering_prefix_length((length + 1) // 2)))
         if stray := {u for u in factor_set(host, length) if u not in image}:
@@ -423,13 +418,10 @@ def _desubstitution_by_enumeration(host):
 def test_tm_desubstitution_matches_full_enumeration(prefix_len, flipped, monkeypatch):
     if flipped is not None:
         monkeypatch.setattr(verify, "thue_morse_prefix", _flipped_at(flipped, prefix_len))
-    report = vf_tm_desubstitution(prefix_len)
     expected = _desubstitution_by_enumeration(verify.thue_morse_prefix(prefix_len))
     assert (expected is None) is (flipped is None)  # every flipped host fails
-    # the check fails exactly where the host leaves the fixed point
-    assert report.passed is (flipped is None)
-    assert report.counterexample == (None if flipped is None else {"position": flipped})
-    assert report.searched_bound == {"host_prefix": prefix_len}
+    # the clause breaks exactly where the host leaves the fixed point
+    assert verify._fixed_point_break(prefix_len) == flipped
 
 
 def test_tm_desubstitution_fails_a_complement_host(monkeypatch):
@@ -442,9 +434,7 @@ def test_tm_desubstitution_fails_a_complement_host(monkeypatch):
 
     assert _desubstitution_by_enumeration(complemented(512)) is None
     monkeypatch.setattr(verify, "thue_morse_prefix", complemented)
-    report = vf_tm_desubstitution(512)
-    assert not report.passed
-    assert report.counterexample == {"position": 0}
+    assert verify._fixed_point_break(512) == 0
 
 
 def test_fixed_point_break_reads_a_short_image_as_a_break(monkeypatch):
@@ -642,7 +632,7 @@ FAILING_CLAUSES = [
     ("tm-prefix-covering", {}, {"thue_morse_prefix": _flipped_at(1000, 1792)},
      {"position": 1000}, "identity"),
     # an empty image is shorter than the host: the fixed point breaks at once
-    ("tm-desubstitution", {"prefix_len": 64}, {"apply_binary_morphism": lambda m, w: ""},
+    ("tm-prefix-covering", {}, {"apply_binary_morphism": lambda m, w: ""},
      {"position": 0}, "image"),
 ]
 
@@ -676,7 +666,7 @@ FAILING_COUNTS = {
     "alternating:construction": {"patterns_checked": 1, "image_bounds": [2, 2]},
     "classifier-oracle:refuted-witness": {"patterns_checked": 5, "classes_searched": 2,
                                           "prove_nodes": 91, "witness_factors": {"xx": "xx"}},
-    "tm-desubstitution:image": {"host_prefix": 64},
+    "tm-prefix-covering:image": {"host_prefix": 1792},
 }
 
 

@@ -3,7 +3,8 @@ shares with the square-limited generator, the square that begins a yy- or
 YY-opened y-run, the bound on the left-completion search, the prover's end
 check, dead-suffix table, frame stack and report exits, the oracle's
 class verdict, the registry's parameter ranges, Thue-Morse clauses, derived
-windows, reversal bound, table of morphic images and sampled caps, the
+windows and the helper that picks the largest, the context-set walk the two
+f3 checks share, reversal bound, table of morphic images and sampled caps, the
 square-limited generator's floor and orientation, the table of pattern
 symmetries and the pattern graph's loop-or-triangle test.
 
@@ -28,8 +29,8 @@ the equivalent text.
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-64 rows took 11-13 minutes on a 2-core x86-64 machine with Python 3.11, and
-the unmutated run about 20 s.  Every row fails a test: row 3, whose broken
+67 rows took about 13.5 minutes on a 2-core x86-64 machine with Python 3.11,
+and the unmutated run about 20 s.  Every row fails a test: row 3, whose broken
 jump loops, fails the first kernel test in ``tests/test_matcher.py``, and
 row 17, whose square jump loops, the second; both tests' words give up
 after 100 calls to ``find``, well before the timeout.
@@ -163,7 +164,7 @@ MUTANTS = [
     (M, "_match_at(plan, data, start, max_y, cap)", "_match_at(plan, data, start, None, cap)",
      "rising-cap rerun drops p's |Y| bound"),
     # the left-completion table's factor bound
-    (S, "min(max_factor_len, len(u))", "min(max_factor_len, len(u) - 1) or 1",
+    (S, "min(COMPLETION_FACTOR_BOUND, len(u))", "min(COMPLETION_FACTOR_BOUND, len(u) - 1) or 1",
      "completion table built over factors one letter shorter than u: the images "
      "of |u|-letter factors are missed"),
     # the registry's parameter ranges
@@ -182,6 +183,9 @@ MUTANTS = [
      "covering step accepts covering lengths that grow by less than double"),
     (V, 'for u in ("00", "01", "10", "11")', 'for u in ("01", "10", "11")',
      "covering base forgets 00"),
+    (V, "_fixed_point_break(big_len)", "_fixed_point_break(big_len // 2)",
+     "covering's fixed-point clause checks half its host: the last steps of the "
+     "induction rest on an unchecked h(t[:m]) = t[:2m]"),
     # the sampled caps, which no lemma derives yet
     (V, "cap = min(len(g) // 4, SQUARE_LIMITED_CAP)", "cap = min(len(g) // 4, 3)",
      "g-avoidance searches |X|, |Y| <= 3 only"),
@@ -215,6 +219,13 @@ MUTANTS = [
      "a row's further windows never read: w4's bispecial window goes unreported"),
     (V, "            yield from row.clauses(tau, w, at)\n", "            pass\n",
      "a row's own clauses never run"),
+    # the one window derivation and the one context-set walk of the f3 checks
+    (V, "return windows, max(windows.values()", "return windows, min(windows.values()",
+     "the window helper returns the smallest window: every clause reads a window too "
+     "short for its factors"),
+    (V, "if palindromes or y != y[::-1]:", "if palindromes or y == y[::-1]:",
+     "the shared context walk's palindrome filter inverted: w3-contexts-repaired "
+     "examines the palindromic entries and skips the others"),
     # the symmetry table and the pattern graph's closed form
     (P, ', "YyXx"', "",
      "one renaming missing from the table: classes lose the images it gives"),
