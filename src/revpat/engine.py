@@ -145,7 +145,7 @@ class BacktrackReport:
 # factories cover five shapes.  All four run the same kernel on a reversed
 # node word and its floor.
 
-def _end_length(plan: tuple, rword: bytes, floor: int) -> int:
+def _end_length(plan: tuple, rword: str, floor: int) -> int:
     """Length of the least instance of ``plan`` at the start of ``rword``
     longer than ``floor``, or 0 when none starts there."""
     found = _match_at(plan, rword, 0, None, None, floor)
@@ -214,8 +214,8 @@ def _compile_end_checker(p: str):
 class _Frame:  # one expanded node of prove_k_unavoidable's search
     __slots__ = ("rword", "floor", "reach", "height", "letters")
 
-    def __init__(self, rword: bytes, floor: int, reach: int, height: int,
-                 letters: Iterator[bytes]) -> None:
+    def __init__(self, rword: str, floor: int, reach: int, height: int,
+                 letters: Iterator[str]) -> None:
         self.rword, self.floor, self.reach, self.height = rword, floor, reach, height
         self.letters = letters
 
@@ -263,13 +263,13 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
         raise ValueError(f"node budget must be at least 1, got {max_nodes}")
 
     per_node, check, _ = _compile_end_checker(p)
-    letters = [str(c).encode() for c in range(k)]
+    letters = [str(c) for c in range(k)]
     budget = -1 if max_nodes is None else max_nodes
 
     longest = ""
     nodes = settled = 0
-    frames = [_Frame(b"", 0, 0, 0, iter(letters[:1]))]  # the root tries letter 0 only
-    dead: dict[bytes, int] = {}  # the stored suffixes, reversed, and their offsets
+    frames = [_Frame("", 0, 0, 0, iter(letters[:1]))]  # the root tries letter 0 only
+    dead: dict[str, int] = {}  # the stored suffixes, reversed, and their offsets
     lengths: list[int] = []  # their distinct lengths, ascending
 
     while frames:
@@ -301,7 +301,7 @@ def prove_k_unavoidable(p: str, k: int, depth_limit: int,
             top.reach = min(top.reach, n - found)
             continue
         if n > len(longest):
-            longest = rword[::-1].decode()
+            longest = rword[::-1]
         if n >= depth_limit:
             break
         if found:  # a per-node hit: every child of rword contains p

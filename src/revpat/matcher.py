@@ -1,11 +1,12 @@
 """Instances of patterns with reversal inside finite words.
 
-Words are strings of digits over an alphabet {0, ..., k-1}, k <= 10.  An
-instance of a pattern assigns a non-empty word to each variable; a lowercase
-slot receives the variable's value, an uppercase slot its reversal.  The
-search enumerates (start, |X|, |Y|) triples in ascending order, so returned
-witnesses are deterministic: smallest start, then smallest |X|, then
-smallest |Y|.
+Words are strings of digits over an alphabet {0, ..., k-1}, k <= 10, and
+the search, the slot kernel and its square walk read the ``str`` in place.
+An instance of a pattern assigns a non-empty word to each variable; a
+lowercase slot receives the variable's value, an uppercase slot its
+reversal.  The search enumerates (start, |X|, |Y|) triples in ascending
+order, so returned witnesses are deterministic: smallest start, then
+smallest |X|, then smallest |Y|.
 
 One slot kernel, ``_match_at``, finds the least instance that starts at a
 given position; the search runs it at each start in turn, and the prover in
@@ -103,7 +104,7 @@ def _plan(p: str) -> tuple:
     |X| + ky|Y| letters after the start (the second lead slot, ky = 0, or
     else the first slot of the pinned x-run, ky = the first y-run's length)
     and holds X's reversal when ``rev``.  The key check fixes the second
-    lead slot exactly, so ``lead_rest`` encodes only the lead slots after it.
+    lead slot exactly, so ``lead_rest`` holds only the lead slots after it.
     ``tail`` holds the other slots the kernel compares, as (cx, cy, seg):
     the slot begins cx|X| + cy|Y| letters after the start and holds
     ``"xXyY"[seg]``'s value.  It leaves out the first y slot, which defines
@@ -154,7 +155,7 @@ def _run(syms: str):
     return len(syms) if "X" not in syms else tuple(sym == "x" for sym in syms)
 
 
-def _square_halves(w: bytes, start: int, least: int, most: int):
+def _square_halves(w: str, start: int, least: int, most: int):
     """Yield, ascending, every half-length P, least <= P <= most, of a
     square w[start:start + 2P].
 
@@ -176,8 +177,8 @@ def _square_halves(w: bytes, start: int, least: int, most: int):
             half = g - start
 
 
-def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
-              max_y: int | None = None, floor: int = 0) -> tuple[bytes, bytes | None] | None:
+def _match_at(plan: tuple, w: str, start: int, max_x: int | None = None,
+              max_y: int | None = None, floor: int = 0) -> tuple[str, str | None] | None:
     """Least (|X|, |Y|) instance of a planned pattern starting at ``start``
     and longer than ``floor``.
 
@@ -272,7 +273,7 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
         base = start + lead * lx
         if lead_rest and w[start + 2 * lx:base] != (
                 xf * lead_rest if lead_rest.__class__ is int
-                else b"".join([xf if fwd else xr for fwd in lead_rest])):
+                else "".join([xf if fwd else xr for fwd in lead_rest])):
             lx += 1
             continue
         if not b:
@@ -281,7 +282,7 @@ def _match_at(plan: tuple, w: bytes, start: int, max_x: int | None = None,
         if pin:
             run_y, run_x, extend, mirror, square_y = pin
             t = (xf * run_x if run_x.__class__ is int
-                 else b"".join([xf if fwd else xr for fwd in run_x]))
+                 else "".join([xf if fwd else xr for fwd in run_x]))
             run_len = len(t)
             if extend:
                 t += w[base:base + low]
@@ -336,52 +337,44 @@ def x_led(p: str) -> str:
     return iota(1, p) if p[0] == "X" else p
 
 
-def _scan(w: str, p: str, max_x: int | None, max_y: int | None):
-    """(start, (x, y)) of the first instance of p in w, scanned in p's x-led
-    form: x and y are that form's values, least in its (|X|, |Y|) order.
-    None when w avoids p within the bounds.
+def _search(w: str, p: str, max_x: int | None, max_y: int | None) -> InstanceWitness | None:
+    """First instance of p in w within the bounds, or None when w avoids p.
 
-    The floor at a start is the longest prefix of the rest of w that occurs
-    at an earlier start, where no instance within the bounds starts; it
-    drops by at most one from each start to the next.
+    The scan runs the kernel on p's x-led form at each start in turn.  The
+    floor at a start is the longest prefix of the rest of w that occurs at
+    an earlier start, where no instance within the bounds starts; it drops
+    by at most one from each start to the next.
     """
     plan = _plan(nonempty_pattern(p))
-    data = parse_word(w).encode()  # ASCII, so offsets into data are offsets into w
+    n = len(parse_word(w))
     if p[0] in "yY":
         max_x, max_y = max_y, max_x
-    n = len(data)
     floor = 0
     for start in range(n):
         if floor:
             floor -= 1
-        while start + floor < n and data.find(data[start:start + floor + 1], 0, start + floor) >= 0:
+        while start + floor < n and w.find(w[start:start + floor + 1], 0, start + floor) >= 0:
             floor += 1
         if start + floor == n:
             return None  # every later factor occurs earlier
-        found = _match_at(plan, data, start, max_x, max_y, floor)
-        if found is not None:
-            return start, found
-    return None
-
-
-def _search(w: str, p: str, max_x: int | None, max_y: int | None) -> InstanceWitness | None:
-    hit = _scan(w, p, max_x, max_y)
-    if hit is None:
-        return None
-    start, (x, y) = hit
-    if p[0] in "yY" and y is not None:
-        # p's least (|X|, |Y|) here is the renamed form's least (|Y|, |X|):
-        # the first cap on the renamed |Y| that admits an instance is p's
-        # |X|, and the kernel picks the least renamed |X| for it
-        data, plan, cap = w.encode(), _plan(p), 1
-        while (found := _match_at(plan, data, start, max_y, cap)) is None:
-            cap += 1
+        found = _match_at(plan, w, start, max_x, max_y, floor)
+        if found is None:
+            continue
         x, y = found
-    if p[0] in "XY":
-        x = x[::-1]  # the renamed form's x is the reversal of p's first variable
-    if p[0] in "yY":
-        x, y = y, x
-    return InstanceWitness(start, x and x.decode(), y and y.decode())
+        if p[0] in "yY" and y is not None:
+            # p's least (|X|, |Y|) here is the renamed form's least (|Y|, |X|):
+            # the first cap on the renamed |Y| that admits an instance is p's
+            # |X|, and the kernel picks the least renamed |X| for it
+            cap = 1
+            while (found := _match_at(plan, w, start, max_x, cap)) is None:
+                cap += 1
+            x, y = found
+        if p[0] in "XY":
+            x = x[::-1]  # the renamed form's x is the reversal of p's first variable
+        if p[0] in "yY":
+            x, y = y, x
+        return InstanceWitness(start, x, y)
+    return None
 
 
 def find_instance(w: str, p: str) -> InstanceWitness | None:
@@ -398,7 +391,7 @@ def find_instance_bounded(w: str, p: str, max_x: int, max_y: int) -> InstanceWit
 
 def avoids(w: str, p: str) -> bool:
     """True when no factor of w is an instance of p."""
-    return _scan(w, p, None, None) is None
+    return _search(w, p, None, None) is None
 
 
 def witness_image(p: str, witness: InstanceWitness) -> str:

@@ -5,14 +5,15 @@ The families, addressed by the ids in ``SEQUENCE_IDS``:
 * ``thue-morse`` -- the fixed point t of 0 -> 01, 1 -> 10, starting from 0.
 * ``alternating`` -- 010101...
 * ``square-limited`` -- the lexicographically least infinite binary word whose
-  only square factors are 00, 11 and 0101.  It is produced by depth-first
-  backtracking over one growing word; a prefix of length n is emitted only
-  once that word has a valid extension by ``DEFAULT_LOOKAHEAD`` (100) further
-  letters.  Backtracking across an already emitted boundary would invalidate
-  earlier output and raises instead of being absorbed.  Grown a letter at a
-  time through its first 30,100 letters, the search revises no letter more
-  than 17 places below the length it grows to (that deep first at 508), so
-  the lookahead's margin is 83 letters.
+  only square factors are ``ALLOWED_SQUARES``: 00, 11 and 0101.  It is
+  produced by depth-first backtracking over one growing word; a prefix of
+  length n is emitted only once that word has a valid extension by
+  ``DEFAULT_LOOKAHEAD`` (100) further letters.  Backtracking across an
+  already emitted boundary would invalidate earlier output and raises
+  instead of being absorbed.  Grown a letter at a time through its first
+  30,100 letters, the search revises no letter more than 17 places below
+  the length it grows to (that deep first at 508), so the lookahead's
+  margin is 83 letters.
 * ``g-ternary`` -- the ternary word obtained from the square-limited word by
   replacing every factor 10 with 12220.
 * ``w1`` .. ``w4`` -- images of t under the binary morphisms F1 .. F4 below.
@@ -23,6 +24,8 @@ prefix of prefix(n) for m <= n.
 The repetition scans take ASCII digit words (else ``ValueError`` naming the
 position) and read their answers off ``_periodic_runs``, one C-speed scan
 per period; ``contains_overlap`` reports the least start, then least period.
+Those scans XOR the word's bytes, the only byte form a word takes: every
+other word here, the square-limited generator's included, is a ``str``.
 """
 
 from __future__ import annotations
@@ -108,45 +111,48 @@ def covering_prefix_length(factor_len: int) -> int:
 # --- the square-limited word ----------------------------------------------------
 
 # The raw DFS word, newest letter first: n + DEFAULT_LOOKAHEAD letters for the largest n emitted.
-_sl_word = bytearray()
+_sl_word = ""
 
 
-def _ends_in_forbidden_square(word: bytearray) -> bool:
-    """Does ``word``, newest letter first, start with a square outside
-    {00, 11, 0101} reversed: of half 2 other than 1010, or of half 3 or more?"""
-    return any(half > 2 or not word.startswith(b"1010")
-               for half in _square_halves(word, 0, 2, len(word) // 2))
+def _ends_in_forbidden_square(word: str) -> bool:
+    """Does ``word``, newest letter first, start with a square whose
+    reversal is not in ``ALLOWED_SQUARES``?"""
+    return any(word[:2 * half][::-1] not in ALLOWED_SQUARES
+               for half in _square_halves(word, 0, 1, len(word) // 2))
 
 
-def _extend_square_limited(word: bytearray, target: int, floor: int) -> None:
-    """Grow the raw DFS word to ``target`` letters, backtracking as needed.
+def _extend_square_limited(word: str, target: int, floor: int) -> str:
+    """The raw DFS word grown to ``target`` letters, backtracking as needed.
 
     ``floor`` letters have already been handed out to callers and may not be
     revised; crossing that boundary is a hard error.
     """
-    c = 0x30  # try 0 first: the generated word is lexicographically least
+    c = "0"  # try 0 first: the generated word is lexicographically least
     while len(word) < target:
-        word.insert(0, c)
+        word = c + word
         bad = _ends_in_forbidden_square(word)
         if bad:
             # drop the failed letter and every 1 before it; the 0 reached becomes a 1
-            while word.pop(0) == 0x31:
-                if len(word) <= floor:
-                    raise RuntimeError(
-                        "square-limited generation backtracked across an emitted prefix; "
-                        "increase DEFAULT_LOOKAHEAD"
-                    )
-        c = 0x31 if bad else 0x30
+            word = word.lstrip("1")
+            if len(word) <= floor:
+                raise RuntimeError(
+                    "square-limited generation backtracked across an emitted prefix; "
+                    "increase DEFAULT_LOOKAHEAD"
+                )
+            word = word[1:]
+        c = "1" if bad else "0"
+    return word
 
 
 def square_limited_prefix(n: int) -> str:
-    """Length-n prefix of the least binary word with square set {00, 11, 0101}."""
+    """Length-n prefix of the least binary word whose squares are ``ALLOWED_SQUARES``."""
+    global _sl_word
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     if n and len(_sl_word) < n + DEFAULT_LOOKAHEAD:
-        _extend_square_limited(_sl_word, n + DEFAULT_LOOKAHEAD,
-                               max(len(_sl_word) - DEFAULT_LOOKAHEAD, 0))
-    return _sl_word[len(_sl_word) - n:][::-1].decode()
+        _sl_word = _extend_square_limited(_sl_word, n + DEFAULT_LOOKAHEAD,
+                                          max(len(_sl_word) - DEFAULT_LOOKAHEAD, 0))
+    return _sl_word[len(_sl_word) - n:][::-1]
 
 
 def g_from(fw: str) -> str:

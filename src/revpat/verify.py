@@ -691,11 +691,11 @@ CHECKS: dict[str, tuple] = {
 
 
 def _integer(key: str, value: object) -> int:
-    """The value of an integer parameter: an int that is not a bool, or a
-    string (as the CLI passes) that ``int()`` reads."""
+    """The value of an integer parameter: an int that is not a bool, or an
+    ASCII string (as the CLI passes) that ``int()`` reads."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and value.isascii():
         try:
             return int(value)
         except ValueError:

@@ -24,7 +24,7 @@ ALL_PATTERNS_TO_4 = ["".join(t) for n in range(1, 5)
 ALL_PATTERNS_5 = ["".join(t) for t in product(PATTERN_ALPHABET, repeat=5)]
 
 
-class _CountedWord(bytes):
+class _CountedWord(str):
     """A word whose ``find`` fails after 100 calls, so a kernel call that
     stops making progress fails instead of looping."""
 
@@ -40,8 +40,8 @@ class _CountedWord(bytes):
 def test_key_hit_at_the_reach_needs_no_jump():
     # kept first in the module: the key slot's head found exactly at this
     # |X|'s reach is an instance, and jumping there would leave |X| as it is
-    for p, w, want in (("xx", b"00", (b"0", None)), ("xyx", b"010", (b"0", b"1")),
-                       ("xxX", b"000", (b"0", None))):
+    for p, w, want in (("xx", "00", ("0", None)), ("xyx", "010", ("0", "1")),
+                       ("xxX", "000", ("0", None))):
         assert matcher._match_at(matcher._plan(p), _CountedWord(w), 0) == want, p
 
 
@@ -51,14 +51,14 @@ def test_square_y_kernel_stops_where_no_square_begins_the_y_run():
     # x = 0 or 00, no square of any half begins where the y-run does, so
     # the kernel stops at the first place of the run instead of walking the
     # 150 places of x that give a whole |Y|
-    w = b"001" + b"0" * 300
+    w = "001" + "0" * 300
     for p in ("xxyyx", "xxYYx", "xyyxx"):
         assert matcher._match_at(matcher._plan(p), _CountedWord(w), 0) is None, p
     # the run gives |Y| = 2 at 6, and the head 10 of the y-run at 2 recurs
     # at 5, one place on: the run search goes on from |Y| = 3, where the
     # square 101101 begins the y-run and x = 0 follows it
-    w = b"00" + b"10110" + b"1" + b"0" * 60
-    assert matcher._match_at(matcher._plan("xxyyx"), _CountedWord(w), 0) == (b"0", b"101")
+    w = "00" + "10110" + "1" + "0" * 60
+    assert matcher._match_at(matcher._plan("xxyyx"), _CountedWord(w), 0) == ("0", "101")
 
 
 def test_parse_word():
@@ -236,23 +236,22 @@ def test_square_led_kernel_agrees_with_oracle_on_square_rich_words():
         plan = matcher._plan(p)
         assert plan[-1], p  # the square path
         for w in hosts:
-            data = w.encode()
             for start in range(len(w)):
                 for floor in range(6):
                     for max_x, max_y in ((None, None), (2, 3), (3, 1)):
-                        got = matcher._match_at(plan, data, start, max_x, max_y, floor)
+                        got = matcher._match_at(plan, w, start, max_x, max_y, floor)
                         want = _oracle_find(w, p, max_x, max_y, (start,), floor)
-                        assert got == (want and (want.x.encode(), want.y.encode())), (
+                        assert got == (want and (want.x, want.y)), (
                             p, w, start, max_x, max_y, floor)
             assert find_instance(w, p) == _oracle_find(w, p), (p, w)
 
 
 def test_square_led_kernel_stops_where_no_square_starts():
     # 0120 starts no square, so neither does an instance of xyxy's form
-    w = b"01201010"
+    w = "01201010"
     assert list(matcher._square_halves(w, 0, 1, len(w) // 2)) == []
     assert list(matcher._square_halves(w, 3, 1, 2)) == [2]  # 0101
-    for p, at_3 in (("xyxy", (b"0", b"1")), ("xYxYx", (b"0", b"1")), ("xyxyy", None)):
+    for p, at_3 in (("xyxy", ("0", "1")), ("xYxYx", ("0", "1")), ("xyxyy", None)):
         assert matcher._match_at(matcher._plan(p), _CountedWord(w), 0) is None
         assert matcher._match_at(matcher._plan(p), w, 3) == at_3, p
 
@@ -281,25 +280,23 @@ def test_square_y_kernel_agrees_with_oracle_on_square_rich_words():
     for p in SQUARE_Y:
         plan = matcher._plan(p)
         for w in hosts:
-            data = w.encode()
             for start in range(len(w)):
                 for floor in range(6):
                     for max_x, max_y in ((None, None), (2, 3), (3, 1)):
-                        got = matcher._match_at(plan, data, start, max_x, max_y, floor)
+                        got = matcher._match_at(plan, w, start, max_x, max_y, floor)
                         want = _oracle_find(w, p, max_x, max_y, (start,), floor)
-                        assert got == (want and (want.x.encode(), want.y.encode())), (
+                        assert got == (want and (want.x, want.y)), (
                             p, w, start, max_x, max_y, floor)
 
 
 def test_square_halves_are_the_squares_at_a_start():
     words = [thue_morse_prefix(80), "01" * 30, "0" * 40, square_limited_prefix(80), "0102" * 15]
     for w in words:
-        data = w.encode()
         for start in range(len(w)):
             room = len(w) - start
             squares = [h for h in range(1, room // 2 + 1) if w[start:start + h] == w[start + h:start + 2 * h]]
             for least, most in ((1, room // 2), (2, room // 2), (3, 5), (1, 1)):
-                got = list(matcher._square_halves(data, start, least, most))
+                got = list(matcher._square_halves(w, start, least, most))
                 assert got == [h for h in squares if least <= h <= most], (w, start, least, most)
 
 

@@ -89,9 +89,7 @@ def test_square_limited_matches_exhaustive_enumeration():
     # lexicographic enumeration: the first word with only allowed squares is
     # the minimum, independently of the generator's backtracking
     least = next(w for w in map("".join, product("01", repeat=18)) if _allowed_squares_only(w))
-    word = bytearray()
-    seq._extend_square_limited(word, 18, 0)
-    assert word[::-1].decode() == least
+    assert seq._extend_square_limited("", 18, 0)[::-1] == least
     assert square_limited_prefix(12) == least[:12]
     assert least[:12] == "000101100011"
 
@@ -101,11 +99,9 @@ def test_square_limited_extension_never_revises_the_emitted_floor():
     # means revising its third letter; the generator holds its word newest
     # letter first
     with pytest.raises(RuntimeError, match="emitted prefix"):
-        seq._extend_square_limited(bytearray(b"01101"[::-1]), 6, 5)
-    word = bytearray(b"01101"[::-1])
-    seq._extend_square_limited(word, 6, 0)
-    word = word[::-1]
-    assert len(word) == 6 and word[:3] == b"011" and _allowed_squares_only(word.decode())
+        seq._extend_square_limited("01101"[::-1], 6, 5)
+    word = seq._extend_square_limited("01101"[::-1], 6, 0)[::-1]
+    assert len(word) == 6 and word[:3] == "011" and _allowed_squares_only(word)
 
 
 def test_square_limited_extension_cannot_backtrack_past_the_first_letter(monkeypatch):
@@ -113,7 +109,7 @@ def test_square_limited_extension_cannot_backtrack_past_the_first_letter(monkeyp
     # never below 0, stops the search before the word runs out
     monkeypatch.setattr(seq, "_ends_in_forbidden_square", lambda word: True)
     with pytest.raises(RuntimeError, match="emitted prefix"):
-        seq._extend_square_limited(bytearray(), 3, 0)
+        seq._extend_square_limited("", 3, 0)
 
 
 @pytest.mark.parametrize("depth, reached", [(17, None), (16, 508)])
@@ -121,21 +117,21 @@ def test_square_limited_lookahead_margin_is_measured(depth, reached):
     # grown a letter at a time, the search revises no letter more than 17 places
     # below the length it grows to, first that deep at 508 letters: the lookahead
     # of 100 has a margin of 83
-    word = bytearray()
+    word = ""
     try:
         for target in range(1, 4101):
-            seq._extend_square_limited(word, target, max(target - depth, 0))
+            word = seq._extend_square_limited(word, target, max(target - depth, 0))
     except RuntimeError:
         assert target == reached
     else:
-        assert reached is None and word[::-1].decode() == square_limited_prefix(4100)
+        assert reached is None and word[::-1] == square_limited_prefix(4100)
 
 
 def test_square_limited_prefix_4000_is_pinned(monkeypatch):
     # sha256 of the 4,000-letter prefix as generated by the per-half-length
     # scan this generator replaced; a generator that keeps the allowed
     # squares but does not emit the least word fails here
-    monkeypatch.setattr(seq, "_sl_word", bytearray())
+    monkeypatch.setattr(seq, "_sl_word", "")
     digest = hashlib.sha256(square_limited_prefix(4000).encode()).hexdigest()
     assert digest == "8ef18093a6695230966f1277687d7143099f75e97b99beb1a28e45c7cb650071"
 
@@ -153,10 +149,10 @@ def test_square_limited_prefix_stability_and_restart_equivalence(monkeypatch):
 
     def recorded(word, target, floor):
         floors.append(floor)
-        extend(word, target, floor)
+        return extend(word, target, floor)
 
     monkeypatch.setattr(seq, "_extend_square_limited", recorded)
-    monkeypatch.setattr(seq, "_sl_word", bytearray())
+    monkeypatch.setattr(seq, "_sl_word", "")
     first = square_limited_prefix(60)
     longer = square_limited_prefix(700)
     assert longer[:60] == first
@@ -164,7 +160,7 @@ def test_square_limited_prefix_stability_and_restart_equivalence(monkeypatch):
     assert floors == [0, 60]
     assert len(seq._sl_word) == 700 + seq.DEFAULT_LOOKAHEAD
     assert square_limited_prefix(300) == longer[:300] and floors == [0, 60]
-    monkeypatch.setattr(seq, "_sl_word", bytearray())
+    monkeypatch.setattr(seq, "_sl_word", "")
     assert square_limited_prefix(700) == longer
 
 
@@ -326,9 +322,9 @@ def _brute_overlap(w):
 def _brute_forbidden_square_ends(w):
     """Does a square outside {00, 11, 0101} end at the last letter of w?"""
     n = len(w)
-    for h in range(2, n // 2 + 1):
+    for h in range(1, n // 2 + 1):
         if w[n - 2 * h:n - h] == w[n - h:n]:
-            if h == 2 and w[n - 4:] == "0101":
+            if w[n - 2 * h:] in ("00", "11", "0101"):
                 continue
             return True
     return False
@@ -336,20 +332,29 @@ def _brute_forbidden_square_ends(w):
 
 def _generator_end_test(w):
     # the generator holds its word newest letter first
-    return seq._ends_in_forbidden_square(bytearray(w[::-1].encode()))
+    return seq._ends_in_forbidden_square(w[::-1])
 
 
 # The generator's former end test: a square outside {00, 11, 0101} at the
 # start of the reversed word, half-length 2 except 1010, or 3 and more.
-_FORBIDDEN_SQUARE = re.compile(rb"(?!1010)(..)\1|(...+)\2")
+_FORBIDDEN_SQUARE = re.compile(r"(?!1010)(..)\1|(...+)\2")
 
 
 def test_forbidden_square_end_test_matches_the_regular_expression():
     for n in range(17):
-        for letters in product(b"01", repeat=n):
-            word = bytearray(letters)
-            assert seq._ends_in_forbidden_square(word[::-1]) == (
-                _FORBIDDEN_SQUARE.match(word[::-1]) is not None), word
+        for word in map("".join, product("01", repeat=n)):
+            assert seq._ends_in_forbidden_square(word) == (
+                _FORBIDDEN_SQUARE.match(word) is not None), word
+
+
+def test_forbidden_square_end_test_reads_the_allowed_squares(monkeypatch):
+    # newest letter first, 1010 is the allowed square 0101 read forward; a
+    # square is forbidden once the inventory drops it, of half 1 too
+    for dropped, word in (("0101", "1010"), ("00", "00")):
+        assert not seq._ends_in_forbidden_square(word)
+        monkeypatch.setattr(seq, "ALLOWED_SQUARES", seq.ALLOWED_SQUARES - {dropped})
+        assert seq._ends_in_forbidden_square(word), dropped
+        monkeypatch.undo()
 
 
 _WORDS = st.sampled_from(["01", "012", "0123456789"]).flatmap(

@@ -173,13 +173,16 @@ def test_a_report_that_searched_nothing_cannot_pass(monkeypatch):
     ({"witness_len": 20.5}, "'witness_len' expects an integer, got 20.5"),
     ({"k": True}, "'k' expects an integer, got True"),
     ({"max_len": 3.0}, "'max_len' expects an integer, got 3.0"),
+    # int() reads ARABIC-INDIC DIGIT THREE as 3, but a parameter, like a word, is ASCII
+    ({"k": "\u0663"}, "'k' expects an integer, got '\u0663'"),
     # a key several checks accept would set them all
     ({"max_len": 5}, r"'max_len' is accepted by several selected checks \(alternating, "
                      r"classifier-oracle\)"),
     ({"n": 400}, r"'n' is accepted by several selected checks \(square-limited, g-avoidance, "
                  r"square-limited-xyxyX\)"),
 ], ids=["k=4", "max_len=6", "max_exp=13", "big_len=100", "completion_factor_bound=64",
-        "word=0011", "witness_len=20.5", "k=True", "max_len=3.0", "max_len=5", "n=400"])
+        "word=0011", "witness_len=20.5", "k=True", "max_len=3.0", "k=arabic-indic-three",
+        "max_len=5", "n=400"])
 def test_run_checks_rejects_a_bad_value_before_any_check_runs(params, message, monkeypatch):
     called = []
 
