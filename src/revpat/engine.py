@@ -35,6 +35,7 @@ from typing import ClassVar, Iterator
 
 from .matcher import _match_at, _plan, apply_morphism
 from .patterns import (
+    _SYMBOL_RANK,
     PATTERN_ALPHABET,
     canonical,
     equivalence_class,
@@ -42,8 +43,6 @@ from .patterns import (
     iota,
     nonempty_pattern,
     parse_pattern,
-    pattern_key,
-    reverse_mark,
     variable_counts,
 )
 from .sequences import alternating_prefix
@@ -344,9 +343,13 @@ class PatternGraph:
 
 
 def pattern_graph(p: str) -> PatternGraph:
+    """The graph of p, each edge ordered by the symbol rank x < X < y < Y.
+
+    Swapping case is ``reverse_mark`` on every symbol of a valid pattern.
+    """
     parse_pattern(p)
-    return PatternGraph(edges=tuple(tuple(sorted((reverse_mark(a), b), key=pattern_key))
-                                    for a, b in zip(p, p[1:])))
+    return PatternGraph(edges=tuple((a, b) if _SYMBOL_RANK[a] <= _SYMBOL_RANK[b] else (b, a)
+                                    for a, b in zip(p.swapcase(), p[1:])))
 
 
 @dataclass(frozen=True)

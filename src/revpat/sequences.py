@@ -24,13 +24,15 @@ prefix of prefix(n) for m <= n.
 The repetition scans take ASCII digit words (else ``ValueError`` naming the
 position) and read their answers off ``_periodic_runs``, one C-speed scan
 per period; ``contains_overlap`` reports the least start, then least period.
-Those scans XOR the word's bytes, the only byte form a word takes: every
-other word here, the square-limited generator's included, is a ``str``.
+Those scans XOR the word's bytes, read once as one integer, the only byte
+form a word takes: every other word here, the square-limited generator's
+included, is a ``str``.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, islice
 
@@ -193,12 +195,18 @@ def bispecial_factors(w: str, max_len: int) -> set[str]:
 _ZEROS = re.compile(rb"\0+")
 
 
-def _periodic_runs(data: bytes, period: int, min_len: int):
+def _periodic_runs(word: int, size: int, period: int, min_len: int):
     """Maximal stretches (i, j), period < min_len <= j - i, left to right, with
     data[k] == data[k + period] for i <= k < j - period: the runs of zero
-    bytes of data XOR data shifted by the period (0 < period < len(data))."""
-    n = len(data) - period
-    diff = (int.from_bytes(data[:n], "big") ^ int.from_bytes(data[period:], "big")).to_bytes(n, "big")
+    bytes of data XOR data shifted by the period (0 < period < size).
+
+    ``word`` is the ``size`` bytes of data read as one big-endian integer, so
+    one conversion serves every period: shifted right by the period it is
+    data[:size - period], and masked to its low size - period bytes it is
+    data[period:].
+    """
+    n = size - period
+    diff = ((word >> 8 * period) ^ (word & ((1 << 8 * n) - 1))).to_bytes(n, "big")
     need = b"\0" * (min_len - period)
     k = diff.find(need)
     while k >= 0:
@@ -209,9 +217,10 @@ def _periodic_runs(data: bytes, period: int, min_len: int):
 
 def collect_squares(w: str) -> set[str]:
     """Every square factor uu of w (the squares themselves, not positions)."""
-    data = parse_word(w).encode()
+    word = int.from_bytes(parse_word(w).encode(), "big")
     # a run of period h holds at most h distinct squares of half-length h
-    return {w[s:s + 2 * h] for h in range(1, len(w) // 2 + 1) for i, j in _periodic_runs(data, h, 2 * h)
+    return {w[s:s + 2 * h] for h in range(1, len(w) // 2 + 1)
+            for i, j in _periodic_runs(word, len(w), h, 2 * h)
             for s in range(i, min(j - 2 * h, i + h - 1) + 1)}
 
 
@@ -222,9 +231,9 @@ def contains_overlap(w: str) -> str | None:
     Such a factor exists exactly when w contains an instance of xxx or of
     xyxyx, so this is the fast equivalent of those two pattern searches.
     """
-    data = parse_word(w).encode()
+    word = int.from_bytes(parse_word(w).encode(), "big")
     first = min(((i, p) for p in range(1, (len(w) - 1) // 2 + 1)
-                 for i, _ in islice(_periodic_runs(data, p, 2 * p + 1), 1)), default=None)
+                 for i, _ in islice(_periodic_runs(word, len(w), p, 2 * p + 1), 1)), default=None)
     return first and w[first[0]:first[0] + 2 * first[1] + 1]
 
 
@@ -242,13 +251,24 @@ def tm_factor_images(m: tuple[str, str], max_factor_len: int) -> frozenset[str]:
 # Longest Thue-Morse factor whose image ``left_completions`` searches.
 COMPLETION_FACTOR_BOUND = 64
 
+# The largest left-completion table built so far per morphism, after its bound.
+_completion_tables: dict[tuple[str, str], tuple[int, dict[str, int], list[tuple[str, int]]]] = {}
 
-@lru_cache(maxsize=32)
-def _image_suffix_lengths(m: tuple[str, str], max_factor_len: int) -> dict[str, int]:
-    """For each image v, the length of its longest proper suffix that is
-    itself an image (0 when none)."""
-    images = tm_factor_images(m, max_factor_len)
-    return {v: next((n for n in range(len(v) - 1, 0, -1) if v[-n:] in images), 0) for v in images}
+
+def _completion_table(m: tuple[str, str], bound: int) -> tuple[dict[str, int], list[tuple[str, int]]]:
+    """Each image of a Thue-Morse factor of length 1..bound, with the least
+    length of a factor having it; and those pairs with each image reversed,
+    sorted.
+
+    The images whose least length is at most L <= bound are exactly
+    ``tm_factor_images(m, L)``: the covering prefix read here holds every
+    factor of length 1..L, as the one that function reads does.
+    """
+    tau, image, at = tm_image(m, covering_prefix_length(bound))
+    # longest first, so each image keeps the least length that gives it
+    least = {image[at[i]:at[i + length]]: length
+             for length in range(bound, 0, -1) for i in range(len(tau) - length + 1)}
+    return least, sorted((v[::-1], length) for v, length in least.items())
 
 
 def left_completions(u: str, m: tuple[str, str]) -> list[str]:
@@ -262,16 +282,37 @@ def left_completions(u: str, m: tuple[str, str]) -> list[str]:
     matter, as m is non-erasing: m(s) has the proper image-suffix m(s[1:]) of
     at least |s| - 1 letters, so it qualifies only when |s| <= |u|; and a
     proper image-suffix m(s') with |s'| > |u| ends in m(s''), s'' the
-    |u|-letter suffix of s', which is itself at least |u| letters long.  So one
-    scan of the table built at min(COMPLETION_FACTOR_BOUND, |u|) gives the
-    same answer.
+    |u|-letter suffix of s', which is itself at least |u| letters long.  So
+    the images of factors up to L = min(COMPLETION_FACTOR_BOUND, |u|) letters
+    give the same answer.
+
+    One table per morphism serves every L: it is built again only when a
+    query needs a larger bound than the largest built so far, and read at L
+    through its least lengths.  The images ending in u are one ``bisect``
+    range of the reversed images, and only those are checked for a long
+    image-suffix.
     """
     if not u:
         raise ValueError("left completions are defined for non-empty factors")
     if m[0] != "0":
         raise ValueError("left completions expect a morphism fixing 0")
-    suffix_lengths = _image_suffix_lengths(m, min(COMPLETION_FACTOR_BOUND, len(u)))
-    found = (v for v, suffix_len in suffix_lengths.items() if suffix_len < len(u) and v.endswith(u))
+    bound = min(COMPLETION_FACTOR_BOUND, len(u))
+    if m not in _completion_tables or _completion_tables[m][0] < bound:
+        _completion_tables[m] = (bound, *_completion_table(m, bound))
+    _, least, reversed_images = _completion_tables[m]
+    key = u[::-1]
+    found = []
+    i = bisect_left(reversed_images, (key,))
+    while i < len(reversed_images) and reversed_images[i][0].startswith(key):
+        r, length = reversed_images[i]
+        i += 1
+        if length <= bound:
+            v = r[::-1]
+            for n in range(len(u), len(v)):
+                if least.get(v[-n:], bound + 1) <= bound:
+                    break
+            else:
+                found.append(v)
     return sorted(found, key=lambda v: (len(v), v))
 
 

@@ -315,12 +315,12 @@ def vf_w3(completion_len: int = 24) -> VerificationReport:
         # (d) every length-9 factor contains 11
         evidence["length-9"] = sorted(z for z in factor_set(w, 9) if "11" not in z)[:3]
 
-        # (e) factors ending in 11 have exactly one left completion
-        evidence["completions"] = {}
-        for length in range(2, completion_len + 1):
-            for u in sorted(factor_set(w, length)):
-                if u.endswith("11") and len(found := left_completions(u, F3)) != 1:
-                    evidence["completions"][u] = found
+        # (e) factors ending in 11 have exactly one left completion; asked
+        # longest first, so one completion table serves every length
+        us = [u for length in range(2, completion_len + 1) for u in sorted(factor_set(w, length))
+              if u.endswith("11")]
+        found = {u: left_completions(u, F3) for u in reversed(us)}
+        evidence["completions"] = {u: found[u] for u in us if len(found[u]) != 1}
 
         clauses.update({name: not ev for name, ev in evidence.items()})
         if failed := [name for name, ok in clauses.items() if not ok]:

@@ -19,7 +19,7 @@ from revpat.engine import (
     seed_free_patterns,
 )
 from revpat.matcher import apply_morphism, avoids, find_instance_bounded
-from revpat.patterns import PATTERN_ALPHABET, canonical, factors, pattern_key
+from revpat.patterns import PATTERN_ALPHABET, canonical, factors, pattern_key, reverse_mark
 from revpat.sequences import alternating_prefix
 
 
@@ -239,6 +239,15 @@ def test_pattern_graph_small_cases():
     res = bipartite_check(pattern_graph("xy"))
     assert res.is_bipartite
     assert res.coloring["X"] != res.coloring["y"]
+
+
+def test_pattern_graph_edges_match_the_sorted_pairs():
+    # the reference: each edge sorted by pattern_key, as the graph once built it
+    patterns = ["".join(t) for n in range(1, 6) for t in product(PATTERN_ALPHABET, repeat=n)]
+    assert len(patterns) == 1364
+    for p in patterns:
+        expected = tuple(tuple(sorted((reverse_mark(a), b), key=pattern_key)) for a, b in zip(p, p[1:]))
+        assert pattern_graph(p).edges == expected, p
 
 
 def _valid_odd_walk(g, walk):

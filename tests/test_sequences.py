@@ -277,6 +277,15 @@ def test_left_completions_match_a_linear_scan(m):
     assert left_completions("0" + longest, m) == []
 
 
+@pytest.mark.parametrize("m", [F1, F2, F3, F4], ids=["f1", "f2", "f3", "f4"])
+def test_one_completion_table_reads_every_smaller_bound(m):
+    # the images whose least factor length is at most L are the table at L
+    least, reversed_images = seq._completion_table(m, COMPLETION_FACTOR_BOUND)
+    assert reversed_images == sorted((v[::-1], length) for v, length in least.items())
+    for max_len in range(1, 25):
+        assert {v for v, length in least.items() if length <= max_len} == tm_factor_images(m, max_len)
+
+
 def test_overlap_scan_examples():
     assert contains_overlap("000") == "000"
     assert contains_overlap("0101101101") == "1011011"  # start 1, period 3

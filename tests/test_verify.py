@@ -379,18 +379,19 @@ def test_completion_factor_bound_carries_no_weight(monkeypatch):
         expected = sorted((v for v, suffix_len in scanned.items()
                            if suffix_len < len(u) and v.endswith(u)), key=lambda v: (len(v), v))
         assert left_completions(u, F3) == expected, u
-    # so w3 builds no image table over factors longer than completion_len
-    sequences._image_suffix_lengths.cache_clear()
+    # so w3 builds one completion table, over factors no longer than completion_len
+    completion_table = sequences._completion_table
     built: list[int] = []
 
-    def spy(m, max_factor_len):
-        built.append(max_factor_len)
-        return tm_factor_images(m, max_factor_len)
+    def spy(m, bound):
+        built.append(bound)
+        return completion_table(m, bound)
 
-    monkeypatch.setattr(sequences, "tm_factor_images", spy)
+    monkeypatch.setattr(sequences, "_completion_tables", {})
+    monkeypatch.setattr(sequences, "_completion_table", spy)
     report = vf_w3()
     assert report.searched_bound["clause_results"]["completions"]
-    assert built and max(built) <= report.parameters["completion_len"]
+    assert built == [min(COMPLETION_FACTOR_BOUND, report.parameters["completion_len"])]
 
 
 def _flipped_at(position, prefix_len):

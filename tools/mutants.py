@@ -1,12 +1,14 @@
 """Mutation check for the slot kernel's pruning rules, the square walk it
 shares with the square-limited generator, the square that begins a yy- or
-YY-opened y-run, the bound on the left-completion search, the prover's end
-check, dead-suffix table, frame stack and report exits, the oracle's
-class verdict, the registry's parameter ranges, Thue-Morse clauses, derived
+YY-opened y-run, the left-completion table's factor bound, least-length
+filter and range lookup, the period scans' shift, the prover's end check,
+dead-suffix table, frame stack and report exits, the oracle's class
+verdict, the registry's parameter ranges, Thue-Morse clauses, derived
 windows and the helper that picks the largest, the context-set walk the two
-f3 checks share, reversal bound, table of morphic images and sampled caps, the
-square-limited generator's floor, orientation and square inventory, the
-table of pattern symmetries and the pattern graph's loop-or-triangle test.
+f3 checks share, reversal bound, table of morphic images and sampled caps,
+the square-limited generator's floor, orientation and square inventory, the
+table of pattern symmetries and the pattern graph's edge order and
+loop-or-triangle test.
 
     python3 tools/mutants.py
 
@@ -38,8 +40,9 @@ longer occurs exactly once, or whose killer is not a test of that set, is
 
 Prints one line per row and a kill count; exits 1 when a mutant survived or
 a row is stale.  Needs pytest and hypothesis, as the test suite does.  The
-70 rows took 2 min 34 s on a 2-core x86-64 machine with Python 3.11, the
-unmutated run included; running the full set for every row took 12 min 52 s.
+74 rows took 2 min 17 s on a 2-core x86-64 machine with Python 3.11, the
+unmutated run included; running the full set for each of the first 70 rows
+took 12 min 52 s.
 Every row fails its recorded killer: row 3, whose broken jump loops, fails
 the first kernel test in ``tests/test_matcher.py``, and row 17, whose
 square jump loops, the second; both tests' words give up after 100 calls
@@ -225,11 +228,24 @@ MUTANTS = [
     (M, "_match_at(plan, w, start, max_x, cap)", "_match_at(plan, w, start, max_y, cap)",
      "rising-cap rerun caps the renamed |X| with the unswapped variable, p's |X| bound",
      "tests/test_matcher.py::test_bounded_search_examples"),
-    # the left-completion table's factor bound
+    # the left-completion table: its factor bound, least-length filter and range lookup
     (S, "min(COMPLETION_FACTOR_BOUND, len(u))", "min(COMPLETION_FACTOR_BOUND, len(u) - 1) or 1",
-     "completion table built over factors one letter shorter than u: the images "
+     "completion table read over factors one letter shorter than u: the images "
      "of |u|-letter factors are missed",
      "tests/test_sequences.py::test_left_completions_match_a_linear_scan[f1]"),
+    (S, "if length <= bound:", "if length < bound:",
+     "least-length filter made strict: an image whose shortest factor has exactly "
+     "L letters is never a completion",
+     "tests/test_sequences.py::test_left_completions_match_a_linear_scan[f1]"),
+    (S, "reversed_images[i][0].startswith(key)", "reversed_images[i][0].startswith(key[:-1])",
+     "range lookup matching one letter short: images ending in u less its first "
+     "letter are taken as completions",
+     "tests/test_sequences.py::test_left_completion_examples"),
+    # the period scans' one integer
+    (S, "word >> 8 * period", "word >> 8 * (period - 1)",
+     "word shifted one byte short of the period: each scan compares letters one "
+     "place too close",
+     "tests/test_sequences.py::test_square_limited_square_inventory"),
     # the registry's parameter ranges
     (V, "if not least <= value <= greatest:", "if not least < value <= greatest:",
      "range check made strict: a value at its least bound is refused",
@@ -317,6 +333,9 @@ MUTANTS = [
     (P, "frozenset(images + [q[::-1] for q in images])", "frozenset(images)",
      "reversed images dropped from the class",
      "tests/test_engine.py::test_seed_free_tables_exact"),
+    (E, "_SYMBOL_RANK[a] <= _SYMBOL_RANK[b]", "_SYMBOL_RANK[a] >= _SYMBOL_RANK[b]",
+     "edge order flipped: each edge's greater symbol comes first",
+     "tests/test_engine.py::test_pattern_graph_worked_example"),
     (E, "            return BipartiteResult(odd_cycle=[a, b, c, a])\n",
      "            pass\n",
      "triangle clause dropped: a graph with a triangle and no loop has no coloring "
